@@ -18,7 +18,6 @@ failures, with a one-line ``error: <type>: <message>`` on stderr.
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import json
 import math
@@ -31,8 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ExperimentConfigError, SimulationError
-from .fock_interference import FockInput, release_distribution_unit_overlap
-from .fock_oracle import ModeBasis, build_fock_input, oracle_distribution, released_number_operator
+from .fock_interference import FockInput, release_distribution, release_distribution_unit_overlap
 from .gaussian_states import SqueezedInput, released_quadratures, uncertainty_product
 from .homodyne import PROBE_CLASSICAL, PROBE_QUANTUM, HomodyneConfig, general_variance
 from .mode_transform import GramMatrix, StageAngles, build_transfer_matrix, magnetic_phase_matrix
@@ -140,7 +138,6 @@ _SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
         "m": ("int", _REQUIRED),
         "i": ("int", None),
         "s": ("float", 1.0),
-        "cutoff": ("int", None),
         "delta": ("float", None),
         "phi0": ("float", 0.0),
         "chi20": ("float", 0.0),
@@ -353,22 +350,16 @@ def _transfer_from_params(params: dict):
     return build_transfer_matrix(storage, release)
 
 
-@functools.lru_cache(maxsize=8)
-def _cached_mode_basis(s: complex, cutoff: int) -> ModeBasis:
-    return ModeBasis(s, cutoff=cutoff)
-
-
 def _fock_distribution(params: dict):
     transfer = _transfer_from_params(params)
     overlap = GramMatrix(params["s"])
     fock_input = FockInput(params["n"], params["m"], overlap)
+    # release_distribution would dispatch on the overlap by itself; calling the
+    # unit-overlap form by name here keeps it visible to the per-layer spans
+    # that bench/tracing.py wraps around the names this module binds
     if overlap.is_unit_overlap():
         return release_distribution_unit_overlap(fock_input, transfer)
-    cutoff = params.get("cutoff") or fock_input.total
-    basis = _cached_mode_basis(complex(params["s"]), max(cutoff, fock_input.total))
-    state = build_fock_input(fock_input.n, fock_input.m, basis)
-    number_op = released_number_operator(transfer, basis, channel=1)
-    return oracle_distribution(state, number_op)
+    return release_distribution(fock_input, transfer)
 
 
 def _evaluate_point(kind: str, params: dict) -> tuple:

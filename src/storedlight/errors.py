@@ -19,7 +19,7 @@ class NormalizationError(SimulationError, ValueError):
 
 class OverlapDomainError(SimulationError, ValueError):
     """A closed form restricted to fully overlapping packets was given partial
-    overlap.  The truncated-space oracle handles the general case."""
+    overlap.  ``release_distribution`` handles the general case."""
 
 
 class CapacityError(SimulationError, ValueError):

@@ -4,9 +4,11 @@ A number state with n photons is written into the first packet of channel 1
 and one with m photons into the second packet of channel 2.  After the release
 stages mix the channels, the photon number in output channel 1 follows an
 interference distribution.  When the two packets overlap completely the
-distribution has an exact closed form; for partial overlap only the first two
-moments stay in closed form and the full distribution must come from the
-truncated-space oracle.
+distribution has an exact closed form.  At partial overlap the second packet
+splits into a part along the first packet, which interferes, and an orthogonal
+remainder whose photons are distinguishable; the distribution is then an exact
+binomial mixture of unit-overlap distributions, each convolved with the
+independent routing of the remainder's photons.
 """
 
 from __future__ import annotations
@@ -125,22 +127,14 @@ def _powers(base: complex, count: int) -> np.ndarray:
     return out
 
 
-def release_distribution_unit_overlap(fock_input: FockInput, transfer: TransferMatrix) -> ReleaseDistribution:
-    """Exact photon-count distribution in output channel 1 for unit overlap.
+def _unit_overlap_probabilities(n: int, m: int, transfer: TransferMatrix) -> np.ndarray:
+    """Raw, unvalidated count probabilities in output channel 1 for n and m
+    photons in fully overlapping packets.
 
-    Valid when the two stored packets coincide up to a phase (a pure phase on
-    the overlap is a redefinition of the second packet mode and drops out).
     The probability of i photons is a squared interference sum over the ways
     of routing k of the n first-channel photons and i - k of the m
     second-channel photons into channel 1.
     """
-    if not fock_input.overlap.is_unit_overlap():
-        raise OverlapDomainError(
-            f"packet overlap magnitude is {fock_input.overlap.overlap_magnitude:.12g}; the "
-            "closed-form distribution needs fully overlapping packets. Use the "
-            "truncated-space oracle (storedlight.fock_oracle) for partial overlap."
-        )
-    n, m = fock_input.n, fock_input.m
     total = n + m
     p11 = _powers(transfer.s11, n + 1)
     p21 = _powers(transfer.s21, n + 1)
@@ -161,6 +155,52 @@ def release_distribution_unit_overlap(fock_input: FockInput, transfer: TransferM
         # exact integer ratio, rounded once on conversion to float
         weight = math.factorial(i) * math.factorial(total - i) / base
         probs[i] = weight * (amplitude.real ** 2 + amplitude.imag ** 2)
+    return probs
+
+
+def _binomial(count: int, p: float) -> np.ndarray:
+    """Distribution of successes in count independent trials of probability p."""
+    return np.array([math.comb(count, j) * p ** j * (1.0 - p) ** (count - j)
+                     for j in range(count + 1)])
+
+
+def release_distribution_unit_overlap(fock_input: FockInput, transfer: TransferMatrix) -> ReleaseDistribution:
+    """Exact photon-count distribution in output channel 1 for unit overlap.
+
+    Valid when the two stored packets coincide up to a phase (a pure phase on
+    the overlap is a redefinition of the second packet mode and drops out).
+    """
+    if not fock_input.overlap.is_unit_overlap():
+        raise OverlapDomainError(
+            f"packet overlap magnitude is {fock_input.overlap.overlap_magnitude:.12g}; the "
+            "unit-overlap distribution needs fully overlapping packets. Use "
+            "release_distribution for partial overlap."
+        )
+    return ReleaseDistribution(_unit_overlap_probabilities(fock_input.n, fock_input.m, transfer))
+
+
+def release_distribution(fock_input: FockInput, transfer: TransferMatrix) -> ReleaseDistribution:
+    """Exact photon-count distribution in output channel 1 at any packet overlap.
+
+    Packet 2 splits into its component along packet 1, of weight |s|^2, and an
+    orthogonal remainder.  Of the m second-channel photons, l share the first
+    packet's mode with binomial weight C(m, l) |s|^2l (1 - |s|^2)^(m - l) and
+    interfere with the n first-channel photons; the other m - l are
+    distinguishable and reach channel 1 independently with probability
+    |S12|^2 (Tichy, J. Phys. B 47, 103001, 2014).  At unit overlap this is
+    exactly release_distribution_unit_overlap.
+    """
+    if fock_input.overlap.is_unit_overlap():
+        return release_distribution_unit_overlap(fock_input, transfer)
+    n, m = fock_input.n, fock_input.m
+    s_sq = fock_input.overlap.overlap_magnitude ** 2
+    routed = abs(transfer.s12) ** 2
+    probs = np.zeros(n + m + 1, dtype=float)
+    for shared in range(m + 1):
+        weight = math.comb(m, shared) * s_sq ** shared * (1.0 - s_sq) ** (m - shared)
+        if weight:
+            probs += weight * np.convolve(_unit_overlap_probabilities(n, shared, transfer),
+                                          _binomial(m - shared, routed))
     return ReleaseDistribution(probs)
 
 

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ParameterDomainError
-from .fock_oracle import OccupationBasis
 from .mode_transform import StageAngles, TransferMatrix, build_transfer_matrix
 
 PROBE_QUANTUM = "quantum"
@@ -175,6 +174,8 @@ def _quantum_oracle(config: HomodyneConfig, cutoff: int) -> float:
     """(squeezed vacuum) x (coherent probe) evolved through the transfer
     matrix; the difference operator conserves total photon number, so a
     total-number truncation is exact apart from the input tail."""
+    from .fock_oracle import OccupationBasis   # scipy.sparse, only for the oracle
+
     _check_tail(config.r1, config.alpha2, cutoff)
     sq = _squeezed_vacuum_coefficients(config.r1, cutoff + 1)
     coh = _coherent_coefficients(config.alpha2, cutoff + 1)

@@ -1,9 +1,20 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from storedlight import ExperimentConfigError
+from storedlight import (
+    ExperimentConfigError,
+    FockInput,
+    GramMatrix,
+    magnetic_phase_matrix,
+    mean_release_count,
+    release_variance,
+)
 from storedlight.cli import (
     ExperimentConfig,
     apply_overrides,
@@ -152,7 +163,7 @@ class TestRunners:
         assert dataset.columns == ("probability",)
         assert dataset.rows[0][0] == pytest.approx(0.25, abs=1e-12)
 
-    def test_partial_overlap_goes_through_the_oracle(self):
+    def test_partial_overlap_uses_the_closed_form(self):
         config = ExperimentConfig.from_mapping({
             "kind": "fock-distribution",
             "params": {"n": 1, "m": 1, "s": 0.0, "delta": "pi/2"},
@@ -221,6 +232,37 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("error: ExperimentConfigError:")
         assert len(err.splitlines()) == 2
+
+    def test_oracle_cutoff_is_no_longer_a_parameter(self, capsys):
+        assert main(["eval", "--kind", "fock-distribution", "--set", "n=1", "--set", "m=1",
+                     "--set", "s=0.5", "--set", "cutoff=8"]) == 2
+        assert capsys.readouterr().err.startswith("error: ExperimentConfigError:")
+
+    def test_partial_overlap_at_sixteen_photon_pairs(self, capsys):
+        code = main(["eval", "--kind", "fock-distribution", "--set", "n=16", "--set", "m=16",
+                     "--set", "s=0.5", "--set", "delta=1.3"])
+        assert code == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        counts = np.array([int(i) for i, _ in rows])
+        probs = np.array([float(p) for _, p in rows])
+        assert counts.tolist() == list(range(33))
+        fock_input = FockInput(16, 16, GramMatrix(0.5))
+        transfer = magnetic_phase_matrix(1.3)
+        mean = float(np.dot(counts, probs))
+        variance = float(np.dot(counts ** 2, probs)) - mean ** 2
+        # the CSV carries 12 significant digits per probability
+        assert mean == pytest.approx(mean_release_count(fock_input, transfer), abs=1e-9)
+        assert variance == pytest.approx(release_variance(fock_input, transfer), abs=1e-8)
+
+    def test_import_does_not_load_scipy(self):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        probe = ("import sys, storedlight.cli; "
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, timeout=60, check=True)
+        assert result.stdout.strip() == "[]"
 
     def test_runtime_errors_exit_1(self, capsys):
         code = main(["eval", "--kind", "fock-distribution",

@@ -20,6 +20,7 @@ from storedlight import (
     fano_factor,
     magnetic_phase_matrix,
     mean_release_count,
+    release_distribution,
     release_distribution_unit_overlap,
     release_variance,
 )
@@ -153,6 +154,46 @@ class TestReleaseDistributionUnitOverlap:
         assert abs(dist.probabilities.sum() - 1.0) < 1e-10
         expected_mean = abs(transfer.s11) ** 2 * n + abs(transfer.s12) ** 2 * m
         assert np.allclose(dist.mean(), expected_mean, atol=1e-10)
+
+
+class TestReleaseDistributionAnyOverlap:
+    def test_unit_overlap_is_the_unit_overlap_form(self, rng):
+        for s in (1.0, -1.0, np.exp(0.7j)):
+            transfer = random_transfer(rng)
+            fock_input = FockInput(3, 2, GramMatrix(s))
+            got = release_distribution(fock_input, transfer).probabilities
+            want = release_distribution_unit_overlap(fock_input, transfer).probabilities
+            assert got.tobytes() == want.tobytes()
+
+    def test_orthogonal_packets_give_two_binomials(self, rng):
+        for n, m in ((0, 3), (2, 2), (4, 1), (5, 6)):
+            transfer = random_transfer(rng)
+            dist = release_distribution(FockInput(n, m, GramMatrix(0.0)), transfer)
+            p1, p2 = abs(transfer.s11) ** 2, abs(transfer.s12) ** 2
+            first = [math.comb(n, k) * p1 ** k * (1 - p1) ** (n - k) for k in range(n + 1)]
+            second = [math.comb(m, j) * p2 ** j * (1 - p2) ** (m - j) for j in range(m + 1)]
+            assert np.allclose(dist.probabilities, np.convolve(first, second), atol=1e-14)
+
+    def test_continuous_at_unit_overlap(self, rng):
+        # 1 - 1e-9 counts as unit overlap; the wider gaps take the mixture
+        for n, m in ((1, 1), (3, 4), (6, 6)):
+            transfer = random_transfer(rng)
+            unit = release_distribution_unit_overlap(FockInput(n, m), transfer)
+            for gap in (1e-9, 2e-8, 1e-7):
+                overlap = GramMatrix((1.0 - gap) * np.exp(0.4j))
+                assert overlap.is_unit_overlap() == (gap == 1e-9)
+                near = release_distribution(FockInput(n, m, overlap), transfer)
+                # the mixture moves weight 1 - |s|^2m < 2 m gap off the unit-overlap term
+                assert np.max(np.abs(near.probabilities - unit.probabilities)) <= 2 * m * gap
+
+    def test_moments_at_partial_overlap(self, rng):
+        for n, m in ((1, 1), (2, 5), (6, 3), (16, 16)):
+            s = 0.5 * np.exp(1.1j)
+            transfer = random_transfer(rng)
+            fock_input = FockInput(n, m, GramMatrix(s))
+            dist = release_distribution(fock_input, transfer)
+            assert dist.mean() == pytest.approx(mean_release_count(fock_input, transfer), abs=1e-11)
+            assert dist.variance() == pytest.approx(release_variance(fock_input, transfer), abs=1e-10)
 
 
 class TestMoments:

@@ -17,6 +17,7 @@ from storedlight import (
     mean_release_count,
     oracle_distribution,
     oracle_moments,
+    release_distribution,
     release_distribution_unit_overlap,
     release_variance,
     released_number_operator,
@@ -145,6 +146,19 @@ class TestOracleAgaintClosedForms:
             got = oracle_distribution(state, op)
             want = release_distribution_unit_overlap(FockInput(n, m), transfer)
             assert np.allclose(got.probabilities, want.probabilities, atol=1e-11)
+
+    def test_distribution_at_partial_overlap(self, rng):
+        worst = 0.0
+        for _ in range(40):
+            n, m = int(rng.integers(0, 5)), int(rng.integers(0, 5))
+            s = rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
+            transfer = random_transfer(rng)
+            mode_basis = ModeBasis(s, cutoff=n + m)
+            got = release_distribution(FockInput(n, m, GramMatrix(s)), transfer)
+            want = oracle_distribution(build_fock_input(n, m, mode_basis),
+                                       released_number_operator(transfer, mode_basis))
+            worst = max(worst, float(np.max(np.abs(got.probabilities - want.probabilities))))
+        assert worst < 1e-12
 
     def test_moments_at_partial_overlap(self, rng):
         s = 0.6 * np.exp(0.3j)
