@@ -18,22 +18,26 @@ failures, with a one-line ``error: <type>: <message>`` on stderr.
 from __future__ import annotations
 
 import argparse
+import ast
 import itertools
 import json
 import math
+import operator
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import ExperimentConfigError, SimulationError
-from .fock_interference import FockInput, release_distribution, release_distribution_unit_overlap
+from .errors import ExperimentConfigError, InternalConsistencyError, SimulationError
+from .fock_interference import (MAX_TOTAL_PHOTONS, FockInput, release_distribution,
+                                release_distribution_unit_overlap, release_probabilities)
 from .gaussian_states import SqueezedInput, released_quadratures, uncertainty_product
 from .homodyne import PROBE_CLASSICAL, PROBE_QUANTUM, HomodyneConfig, general_variance
-from .mode_transform import GramMatrix, StageAngles, build_transfer_matrix, magnetic_phase_matrix
+from .mode_transform import (OVERLAP_ROUNDING_TOL, UNITARITY_TOL, GramMatrix, StageAngles,
+                             build_transfer_matrix, magnetic_phase_entries, magnetic_phase_matrix,
+                             transfer_entries, unitarity_defects)
 
 SIGNIFICANT_DIGITS = 12
 
@@ -41,89 +45,57 @@ SIGNIFICANT_DIGITS = 12
 # ----------------------------------------------------------------------
 # numeric expression grammar
 
-_TOKEN = re.compile(r"\s*(?:(\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
-                    r"|\d+(?:[eE][+-]?\d+)?)|(pi)|([+\-*/()]))")
+_NUMERAL = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
+# bare integers, which Python refuses with leading zeros or beyond 4,300 digits
+_INTEGER = re.compile(r"(?<![\w.])(?<![eE][+-])\d+(?![\w.])")
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv}
+_SIGN = {ast.UAdd: 1.0, ast.USub: -1.0}
 
 
 def parse_number_expression(text: str) -> float:
-    """Evaluate an expression built from numbers, pi, + - * / and parentheses."""
+    """Evaluate an expression built from numbers, pi, + - * / and parentheses.
+
+    Any whitespace may separate tokens and digits may be any Unicode decimal
+    digits.  Python parses the expression and only the nodes of this grammar
+    are evaluated, so Python-only forms such as 0x10, 1_0, 1j or 2**3 are
+    rejected.
+    """
     if not isinstance(text, str):
         raise ExperimentConfigError(f"expected an expression string, got {text!r}")
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            if text[pos:].strip() == "":
-                break
-            raise ExperimentConfigError(f"bad expression {text!r}: unexpected {text[pos:]!r}")
-        number, name, op = match.groups()
-        if number is not None:
-            tokens.append(("num", float(number)))
-        elif name is not None:
-            tokens.append(("num", math.pi))
-        else:
-            tokens.append(("op", op))
-        pos = match.end()
-    if not tokens:
-        raise ExperimentConfigError(f"empty expression {text!r}")
-    tokens.append(("end", None))
+    source = text if text.isascii() else "".join(str(int(c)) if c.isdecimal() else c for c in text)
+    source = " ".join(source.split())
+    if _NUMERAL.fullmatch(source):
+        return float(source)
+    try:
+        # '#' would open a Python comment; no other character of the grammar is outside ASCII
+        if "#" in source or not source.isascii():
+            raise ExperimentConfigError("unexpected character")
+        try:
+            tree = compile(source, "<expression>", "eval", ast.PyCF_ONLY_AST)
+        except SyntaxError:
+            source = _INTEGER.sub(lambda integer: integer[0] + ".", source)
+            tree = compile(source, "<expression>", "eval", ast.PyCF_ONLY_AST)
+        return _evaluate(tree.body, source)
+    except SyntaxError as exc:
+        raise ExperimentConfigError(f"bad expression {text!r}: {exc.msg}") from None
+    except (ExperimentConfigError, RecursionError) as exc:
+        raise ExperimentConfigError(f"bad expression {text!r}: {exc}") from None
 
-    index = 0
 
-    def peek():
-        return tokens[index]
-
-    def take():
-        nonlocal index
-        token = tokens[index]
-        index += 1
-        return token
-
-    def primary() -> float:
-        kind, value = take()
-        if kind == "num":
-            return value
-        if kind == "op" and value == "(":
-            inner = expr()
-            kind, value = take()
-            if not (kind == "op" and value == ")"):
-                raise ExperimentConfigError(f"bad expression {text!r}: missing ')'")
-            return inner
-        raise ExperimentConfigError(f"bad expression {text!r}: expected a value")
-
-    def unary() -> float:
-        sign = 1.0
-        while peek() == ("op", "+") or peek() == ("op", "-"):
-            if take()[1] == "-":
-                sign = -sign
-        return sign * primary()
-
-    def term() -> float:
-        value = unary()
-        while peek() in (("op", "*"), ("op", "/")):
-            op = take()[1]
-            rhs = unary()
-            if op == "*":
-                value *= rhs
-            else:
-                if rhs == 0.0:
-                    raise ExperimentConfigError(f"bad expression {text!r}: division by zero")
-                value /= rhs
-        return value
-
-    def expr() -> float:
-        value = term()
-        while peek() in (("op", "+"), ("op", "-")):
-            op = take()[1]
-            rhs = term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    result = expr()
-    if peek() != ("end", None):
-        raise ExperimentConfigError(f"bad expression {text!r}: trailing input")
-    return result
+def _evaluate(node, source: str) -> float:
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        left, right = _evaluate(node.left, source), _evaluate(node.right, source)
+        if isinstance(node.op, ast.Div) and right == 0.0:
+            raise ExperimentConfigError("division by zero")
+        return _BINARY[type(node.op)](left, right)
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _SIGN:
+        return _SIGN[type(node.op)] * _evaluate(node.operand, source)
+    literal = source[node.col_offset:node.end_col_offset]
+    if isinstance(node, ast.Name) and literal == "pi":
+        return math.pi
+    if isinstance(node, ast.Constant) and _NUMERAL.fullmatch(literal):
+        return float(literal)
+    raise ExperimentConfigError(f"unexpected {literal!r}")
 
 
 # ----------------------------------------------------------------------
@@ -354,9 +326,10 @@ def _fock_distribution(params: dict):
     transfer = _transfer_from_params(params)
     overlap = GramMatrix(params["s"])
     fock_input = FockInput(params["n"], params["m"], overlap)
-    # release_distribution would dispatch on the overlap by itself; calling the
-    # unit-overlap form by name here keeps it visible to the per-layer spans
-    # that bench/tracing.py wraps around the names this module binds
+    # release_distribution would dispatch on the overlap by itself; a single
+    # point calls the unit-overlap form by name so that per-layer spans wrapped
+    # around the names this module binds still see it (sweeps bypass both
+    # names through _fock_sweep)
     if overlap.is_unit_overlap():
         return release_distribution_unit_overlap(fock_input, transfer)
     return release_distribution(fock_input, transfer)
@@ -396,11 +369,6 @@ def _evaluate_point(kind: str, params: dict) -> tuple:
     raise ExperimentConfigError(f"unknown kind {kind!r}")
 
 
-def _pool_task(task):
-    kind, params = task
-    return _evaluate_point(kind, params)
-
-
 @dataclass
 class Dataset:
     """Rows of a finished run, ready for CSV serialization."""
@@ -431,30 +399,53 @@ def _format_value(value) -> str:
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> Dataset:
     """Evaluate the configured quantity over its sweep grid.
 
-    Rows are emitted in row-major order of the sweep axes as declared; with a
-    worker pool the evaluations may run concurrently but assembly order is
-    fixed, so the output is deterministic either way.
+    Rows are emitted in row-major order of the sweep axes as declared.  A
+    count-distribution sweep is evaluated in one array pass, other kinds point
+    by point.  ``workers`` is accepted for compatibility and has no effect:
+    evaluation is serial, and the output the same either way.
     """
-    axes = [(axis.name, axis.values()) for axis in config.sweep]
-    columns = tuple(name for name, _ in axes) + _VALUE_COLUMNS[config.kind]
-    grids = [values for _, values in axes]
-    points = []
-    for combo in itertools.product(*grids):
-        params = dict(config.params)
-        for (name, _), value in zip(axes, combo):
-            params[name] = float(value)
-        points.append((combo, params))
-
-    if workers > 1 and len(points) > 1:
-        tasks = [(config.kind, params) for _, params in points]
-        chunk = max(1, len(tasks) // (8 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(_pool_task, tasks, chunksize=chunk))
+    names = [axis.name for axis in config.sweep]
+    combos = list(itertools.product(*(axis.values() for axis in config.sweep)))
+    if config.kind == "fock-distribution":
+        values = [(value,) for value in _fock_sweep(config.params, names, combos)]
     else:
-        values = [_evaluate_point(config.kind, params) for _, params in points]
+        values = [_evaluate_point(config.kind, _point(config.params, names, combo)) for combo in combos]
+    rows = [tuple(combo) + tuple(result) for combo, result in zip(combos, values)]
+    return Dataset(columns=tuple(names) + _VALUE_COLUMNS[config.kind], rows=rows)
 
-    rows = [tuple(combo) + tuple(result) for (combo, _), result in zip(points, values)]
-    return Dataset(columns=columns, rows=rows)
+
+def _point(params: dict, names: list, combo: tuple) -> dict:
+    return {**params, **{name: float(value) for name, value in zip(names, combo)}}
+
+
+def _fock_sweep(params: dict, names: list, combos: list) -> list:
+    """P(i) at every sweep point, in one array pass.  At the first point, in
+    row-major order, that fails a check, the single-point route runs again
+    and raises its error with the point appended: the error a point-by-point
+    sweep stopped with."""
+    grid = {**params, **dict(zip(names, np.reshape(combos, (len(combos), len(names))).T))}
+    entries = (magnetic_phase_entries(grid["delta"]) if grid.get("delta") is not None
+               else transfer_entries(*(grid[key] for key in _ANGLE_KEYS)))
+    entries = np.broadcast_to(entries, (4, len(combos)))
+    overlap = np.abs(np.broadcast_to(grid["s"], len(combos)))
+    valid = (unitarity_defects(entries) <= UNITARITY_TOL) & (overlap <= 1.0 + OVERLAP_ROUNDING_TOL)
+    n, m, target = params["n"], params["m"], params["i"]
+    # the FockInput checks and the count range hold at every point or at none
+    if not (min(n, m) >= 0 and 0 <= target <= n + m <= MAX_TOTAL_PHOTONS):
+        valid[0] = False
+    checked = len(combos) if valid.all() else int(np.argmin(valid))
+    if checked:
+        probs, valid[:checked] = release_probabilities(n, m, entries[:, :checked], overlap[:checked])
+    if not valid.all():
+        row = int(np.argmin(valid))
+        where = ", ".join(f"{name}={float(value)!r}" for name, value in zip(names, combos[row]))
+        try:
+            _evaluate_point("fock-distribution", _point(params, names, combos[row]))
+        except SimulationError as exc:
+            exc.args = (f"{exc} at {where}",) if where else exc.args
+            raise
+        raise InternalConsistencyError(f"sweep and single-point routes disagree at {where}")
+    return np.clip(probs[:, target], 0.0, 1.0).tolist()
 
 
 def run_single(config: ExperimentConfig) -> Dataset:
@@ -535,14 +526,16 @@ def _build_parser() -> _Parser:
     figure = sub.add_parser("figure", help="regenerate a canned dataset")
     figure.add_argument("--id", type=int, required=True, help="figure number, 1-5")
     figure.add_argument("--out", required=True, help="output CSV path")
-    figure.add_argument("--workers", type=int, default=1, help="evaluation processes")
+    figure.add_argument("--workers", type=int, default=1,
+                        help="accepted for compatibility, no effect: evaluation is serial")
 
     sweep = sub.add_parser("sweep", help="grid sweep from a JSON description")
     sweep.add_argument("--config", required=True, help="JSON experiment description")
     sweep.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a configuration entry; repeatable")
     sweep.add_argument("--out", default=None, help="output CSV path (overrides the file)")
-    sweep.add_argument("--workers", type=int, default=1, help="evaluation processes")
+    sweep.add_argument("--workers", type=int, default=1,
+                       help="accepted for compatibility, no effect: evaluation is serial")
 
     single = sub.add_parser("eval", help="evaluate a single parameter point")
     single.add_argument("--kind", required=True, help=f"one of {sorted(_SCHEMAS)}")

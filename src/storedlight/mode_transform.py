@@ -94,16 +94,7 @@ class TransferMatrix:
 
     def unitarity_defect(self) -> float:
         """Largest entry of |S+S - 1| and |SS+ - 1|."""
-        a, b, c, d = self.s11, self.s12, self.s21, self.s22
-        devs = (
-            a.conjugate() * a + c.conjugate() * c - 1.0,
-            a.conjugate() * b + c.conjugate() * d,
-            b.conjugate() * b + d.conjugate() * d - 1.0,
-            a * a.conjugate() + b * b.conjugate() - 1.0,
-            a * c.conjugate() + b * d.conjugate(),
-            c * c.conjugate() + d * d.conjugate() - 1.0,
-        )
-        return max(abs(x) for x in devs)
+        return max(abs(x) for x in _unitarity_deviations(self.s11, self.s12, self.s21, self.s22))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -118,6 +109,43 @@ class TransferMatrix:
         raise ParameterDomainError(f"channel must be 1 or 2, got {channel!r}")
 
 
+def _unitarity_deviations(a, b, c, d):
+    """Entries of S+S - 1 and SS+ - 1, for complex numbers or arrays alike."""
+    return (
+        a.conjugate() * a + c.conjugate() * c - 1.0,
+        a.conjugate() * b + c.conjugate() * d,
+        b.conjugate() * b + d.conjugate() * d - 1.0,
+        a * a.conjugate() + b * b.conjugate() - 1.0,
+        a * c.conjugate() + b * d.conjugate(),
+        c * c.conjugate() + d * d.conjugate() - 1.0,
+    )
+
+
+def unitarity_defects(entries) -> np.ndarray:
+    """TransferMatrix.unitarity_defect at every point of a (4, P) array of
+    S11, S12, S21, S22, NaN where an entry is not finite.  numpy's complex
+    products fuse multiply-adds, so the last bits may differ from the method."""
+    return np.max(np.abs(_unitarity_deviations(*np.asarray(entries, dtype=complex))), axis=0)
+
+
+# The entry formulas work on Python numbers with math and cmath, and on numpy
+# arrays with numpy's cos, sin and exp, which round the same way.  The matrix
+# constructors stay scalar: numpy's per-call cost would dominate one point.
+
+def _stage_entries(phi0, chi20, chi30, phi1, chi21, chi31, cos, sin, exp):
+    c0, s0, c1, s1 = cos(phi0), sin(phi0), cos(phi1), sin(phi1)
+    a, b = exp(1j * (chi21 - chi20)), exp(1j * (chi31 - chi30))
+    return (c1 * c0 * a + s1 * s0 * b, -c1 * s0 * a + s1 * c0 * b,
+            -s1 * c0 * a + c1 * s0 * b, s1 * s0 * a + c1 * c0 * b)
+
+
+def _magnetic_entries(delta, cos, sin, exp):
+    half = 0.5 * delta
+    g = exp(-1j * half)
+    diag, off = g * cos(half), 1j * g * sin(half)
+    return diag, off, off, diag
+
+
 def build_transfer_matrix(storage: StageAngles, release: StageAngles) -> TransferMatrix:
     """Transfer matrix for given storage-stage and release-stage angles.
 
@@ -126,16 +154,18 @@ def build_transfer_matrix(storage: StageAngles, release: StageAngles) -> Transfe
     phase differences, so it is unitary by construction and collapses to the
     identity when both stages coincide.
     """
-    a = cmath.exp(1j * (release.chi2 - storage.chi2))
-    b = cmath.exp(1j * (release.chi3 - storage.chi3))
-    c0, s0 = math.cos(storage.phi), math.sin(storage.phi)
-    c1, s1 = math.cos(release.phi), math.sin(release.phi)
-    return TransferMatrix(
-        s11=c1 * c0 * a + s1 * s0 * b,
-        s12=-c1 * s0 * a + s1 * c0 * b,
-        s21=-s1 * c0 * a + c1 * s0 * b,
-        s22=s1 * s0 * a + c1 * c0 * b,
-    )
+    return TransferMatrix(*_stage_entries(storage.phi, storage.chi2, storage.chi3, release.phi,
+                                          release.chi2, release.chi3, math.cos, math.sin, cmath.exp))
+
+
+def transfer_entries(phi0, chi20, chi30, phi1, chi21, chi31) -> np.ndarray:
+    """The (4, P) array of S11, S12, S21, S22 that build_transfer_matrix
+    gives at each point of a grid of storage angles (phi0, chi20, chi30) and
+    release angles (phi1, chi21, chi31), each a number or a (P,) array.
+    Unvalidated: a non-finite angle gives NaN entries."""
+    angles = [np.atleast_1d(np.asarray(x, dtype=float)) for x in (phi0, chi20, chi30, phi1, chi21, chi31)]
+    with np.errstate(invalid="ignore"):
+        return np.array(_stage_entries(*angles, np.cos, np.sin, np.exp))
 
 
 def magnetic_phase_matrix(delta: float) -> TransferMatrix:
@@ -149,11 +179,14 @@ def magnetic_phase_matrix(delta: float) -> TransferMatrix:
     delta = float(delta)
     if not math.isfinite(delta):
         raise ParameterDomainError(f"delta must be finite, got {delta!r}")
-    half = 0.5 * delta
-    g = cmath.exp(-1j * half)
-    diag = g * math.cos(half)
-    off = 1j * g * math.sin(half)
-    return TransferMatrix(s11=diag, s12=off, s21=off, s22=diag)
+    return TransferMatrix(*_magnetic_entries(delta, math.cos, math.sin, cmath.exp))
+
+
+def magnetic_phase_entries(delta) -> np.ndarray:
+    """magnetic_phase_matrix over a number or (P,) array of deltas, as the
+    (4, P) entries; unvalidated like transfer_entries."""
+    with np.errstate(invalid="ignore"):
+        return np.array(_magnetic_entries(np.atleast_1d(np.asarray(delta, dtype=float)), np.cos, np.sin, np.exp))
 
 
 def global_phase_distance(first: TransferMatrix, second: TransferMatrix) -> float:

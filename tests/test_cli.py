@@ -1,18 +1,29 @@
+import itertools
 import json
+import math
+import operator
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from storedlight import (
+    CapacityError,
     ExperimentConfigError,
     FockInput,
     GramMatrix,
+    InternalConsistencyError,
+    ParameterDomainError,
+    SimulationError,
     magnetic_phase_matrix,
     mean_release_count,
+    release_distribution_unit_overlap,
     release_variance,
 )
 from storedlight.cli import (
@@ -24,6 +35,60 @@ from storedlight.cli import (
     run_figure,
     run_single,
 )
+
+
+def float_bits(value):
+    return struct.pack("<d", value)
+
+
+@st.composite
+def grammar_expressions(draw):
+    """Text from the expression grammar, with the value the grammar gives it
+    (left-associative operators, signs applied to a primary) or None where
+    it divides by zero."""
+    space = st.sampled_from(["", "", " ", "  ", "\t", "\n", "\u00a0"])
+    digits = st.text("0123456789", min_size=1, max_size=4)
+    mantissa = st.one_of(digits, st.tuples(digits, st.just("."), digits | st.just("")).map("".join),
+                         digits.map(".".__add__))
+    numeral = st.tuples(mantissa, st.sampled_from(["", "e", "E-", "e+"]), digits).map(
+        lambda parts: parts[0] + (parts[1] + parts[2] if parts[1] else ""))
+
+    def primary(depth):
+        kind = draw(st.integers(0, 2 if depth < 2 else 1))
+        if kind == 0:
+            text = draw(numeral)
+            return text, float(text)
+        if kind == 1:
+            return "pi", math.pi
+        text, value = expr(depth + 1)
+        return f"({draw(space)}{text}{draw(space)})", value
+
+    def unary(depth):
+        signs = draw(st.lists(st.sampled_from("+-"), max_size=3))
+        text, value = primary(depth)
+        sign = -1.0 if signs.count("-") % 2 else 1.0
+        return "".join(c + draw(space) for c in signs) + text, None if value is None else sign * value
+
+    def chain(item, ops, depth):
+        text, value = item(depth)
+        for _ in range(draw(st.integers(0, 2 if depth == 0 else 1))):
+            op = draw(st.sampled_from(ops))
+            rhs_text, rhs = item(depth)
+            text += draw(space) + op + draw(space) + rhs_text
+            if value is None or rhs is None or (op == "/" and rhs == 0.0):
+                value = None
+            else:
+                value = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}[op](value, rhs)
+        return text, value
+
+    def term(depth):
+        return chain(unary, "*/", depth)
+
+    def expr(depth):
+        return chain(term, "+-", depth)
+
+    text, value = expr(0)
+    return draw(space) + text + draw(space), value
 
 
 class TestExpressionParser:
@@ -48,6 +113,36 @@ class TestExpressionParser:
     def test_rejections(self, text):
         with pytest.raises(ExperimentConfigError):
             parse_number_expression(text)
+
+    @given(grammar_expressions())
+    @settings(max_examples=200, deadline=None)
+    def test_grammar_corpus(self, case):
+        text, value = case
+        if value is None:
+            with pytest.raises(ExperimentConfigError):
+                parse_number_expression(text)
+        elif math.isnan(value):
+            assert math.isnan(parse_number_expression(text))
+        else:
+            assert float_bits(parse_number_expression(text)) == float_bits(value)
+
+    @pytest.mark.parametrize("text,value", [
+        ("08", 8.0), ("1.", 1.0), ("007.50", 7.5), ("1e05", 1e5), (" \t-\n2 ", -2.0),
+        ("\u0661\u0662", 12.0), ("9" * 5000, math.inf),
+    ])
+    def test_forms_python_would_read_differently(self, text, value):
+        assert parse_number_expression(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "0x10", "1_0", "1j", "2**3", "True", "nan", "pi()", "1 # comment", "\uff50\uff49", "pi.real",
+        "-(1)e-3", "1e", "2pi", "1 2", "1..5", "()", "(1,2)",
+    ])
+    def test_python_only_forms_exit_2(self, text, capsys):
+        with pytest.raises(ExperimentConfigError):
+            parse_number_expression(text)
+        assert main(["eval", "--kind", "fock-distribution", "--set", "n=1", "--set", "m=1",
+                     "--set", f"delta={text}"]) == 2
+        assert capsys.readouterr().err.startswith("error: ExperimentConfigError:")
 
 
 class TestOverrides:
@@ -149,6 +244,66 @@ class TestRunners:
         pooled = run_experiment(config, workers=2)
         assert serial.to_csv_text() == pooled.to_csv_text()
 
+    @given(n=st.integers(0, 64), m=st.integers(0, 64), i=st.integers(0, 64),
+           axis=st.sampled_from(["delta", "angles"]), count=st.integers(1, 12),
+           overlap_axis=st.booleans(), angles=st.lists(st.floats(-7, 7), min_size=4, max_size=4))
+    @example(n=5, m=7, i=6, axis="delta", count=300, overlap_axis=True, angles=[0.1, 0.2, 0.3, 0.4])
+    @example(n=30, m=30, i=30, axis="delta", count=33, overlap_axis=False, angles=[0.0] * 4)
+    @settings(max_examples=30, deadline=None)
+    def test_sweep_is_the_single_point_route_cell_for_cell(self, n, m, i, axis, count, overlap_axis,
+                                                           angles):
+        m = min(m, 64 - n)
+        if axis == "delta":
+            params = {"n": n, "m": m, "i": min(i, n + m)}
+            sweep = {"delta": {"start": angles[0], "stop": angles[1] + 2 * np.pi, "count": count}}
+        else:
+            params = {"n": n, "m": m, "i": min(i, n + m), "phi0": angles[0], "chi20": angles[1]}
+            sweep = {"phi1": {"start": angles[2], "stop": 1.5, "count": count},
+                     "chi21": {"start": angles[3], "stop": 6.0, "count": 2}}
+        if overlap_axis:
+            # across |s| = 1 - UNIT_OVERLAP_TOL, where the route switches
+            sweep["s"] = {"start": 1 - 3e-8, "stop": 1.0, "count": 4}
+        config = ExperimentConfig.from_mapping({"kind": "fock-distribution", "params": params,
+                                                "sweep": sweep})
+        expected = []
+        for combo in itertools.product(*(axis.values() for axis in config.sweep)):
+            point = {**params, **{name: float(v) for name, v in zip(sweep, combo)}}
+            try:
+                dataset = run_single(ExperimentConfig.from_mapping(
+                    {"kind": "fock-distribution", "params": point}))
+            except SimulationError as exc:
+                with pytest.raises(type(exc)) as raised:
+                    run_experiment(config)
+                where = ", ".join(f"{name}={float(v)!r}" for name, v in zip(sweep, combo))
+                assert str(raised.value) == f"{exc} at {where}"
+                return
+            expected.append(tuple(combo) + dataset.rows[0])
+        got = run_experiment(config).rows
+        assert [tuple(map(float_bits, row)) for row in got] == [tuple(map(float_bits, row)) for row in expected]
+
+    def test_failing_sweep_names_the_first_failing_point(self):
+        deltas = np.linspace(0.0, 2 * np.pi, 33)
+        first = next(delta for delta in deltas if not _single_point_succeeds(32, 32, delta))
+        config = ExperimentConfig.from_mapping({
+            "kind": "fock-distribution",
+            "params": {"n": 32, "m": 32, "i": 32},
+            "sweep": {"delta": {"start": 0, "stop": "2*pi", "count": 33}},
+        })
+        with pytest.raises(InternalConsistencyError) as raised:
+            run_experiment(config)
+        assert str(raised.value).endswith(f"(unit-overlap closed form) at delta={float(first)!r}")
+
+    def test_sweep_errors_keep_their_type(self):
+        for params, error in (({"n": 40, "m": 40}, CapacityError),
+                              ({"n": 1, "m": 1, "i": 3}, ExperimentConfigError),
+                              ({"n": 1, "m": 1, "s": 1.5}, ParameterDomainError)):
+            config = ExperimentConfig.from_mapping({
+                "kind": "fock-distribution", "params": params,
+                "sweep": {"delta": {"start": 0, "stop": 1, "count": 3}},
+            })
+            with pytest.raises(error, match=r"at delta=0\.0$"):
+                run_experiment(config)
+
     def test_single_full_distribution(self):
         config = ExperimentConfig.from_mapping(
             {"kind": "fock-distribution", "params": {"n": 1, "m": 1, "delta": "pi/2"}})
@@ -187,6 +342,14 @@ class TestRunners:
         grid = np.array([row[2] for row in dataset.rows]).reshape(65, 65)
         spectrum = np.abs(np.fft.rfft(grid[48, :64]))
         assert np.argmax(spectrum[1:]) + 1 == 2
+
+
+def _single_point_succeeds(n, m, delta):
+    try:
+        release_distribution_unit_overlap(FockInput(n, m), magnetic_phase_matrix(delta))
+    except InternalConsistencyError:
+        return False
+    return True
 
 
 class TestMainEntry:

@@ -24,6 +24,8 @@ from storedlight import (
     release_distribution_unit_overlap,
     release_variance,
 )
+from storedlight.fock_interference import GRID_CHUNK, release_probabilities
+from storedlight.mode_transform import magnetic_phase_entries, transfer_entries
 
 
 def expansion_distribution(n, m, transfer):
@@ -258,3 +260,103 @@ class TestFanoFactor:
         exact_swap = TransferMatrix(0.0, 1.0, 1.0, 0.0)
         with pytest.raises(UndefinedRatioError):
             fano_factor(FockInput(1, 0), exact_swap)
+
+
+def reference_unit_overlap(n, m, transfer):
+    """The per-count loop that the array kernel replaced, frozen as the
+    bitwise reference: raw count probabilities at unit overlap."""
+    def powers(base, count):
+        out = np.empty(count, dtype=complex)
+        out[0] = 1.0
+        if count > 1:
+            np.cumprod(np.full(count - 1, base, dtype=complex), out=out[1:])
+        return out
+
+    total = n + m
+    p11, p21 = powers(transfer.s11, n + 1), powers(transfer.s21, n + 1)
+    p12, p22 = powers(transfer.s12, m + 1), powers(transfer.s22, m + 1)
+    comb_n = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
+    comb_m = np.array([math.comb(m, j) for j in range(m + 1)], dtype=float)
+    probs = np.empty(total + 1, dtype=float)
+    base = math.factorial(n) * math.factorial(m)
+    for i in range(total + 1):
+        k = np.arange(max(0, i - m), min(n, i) + 1)
+        terms = comb_n[k] * comb_m[i - k] * p11[k] * p21[n - k] * p12[i - k] * p22[m - i + k]
+        amplitude = complex(terms.sum())
+        weight = math.factorial(i) * math.factorial(total - i) / base
+        probs[i] = weight * (amplitude.real ** 2 + amplitude.imag ** 2)
+    return probs
+
+
+def reference_mixture(n, m, s, transfer):
+    """The per-point partial-overlap mixture the array kernel replaced."""
+    s_sq, routed = abs(s) ** 2, abs(transfer.s12) ** 2
+    probs = np.zeros(n + m + 1)
+    for shared in range(m + 1):
+        weight = math.comb(m, shared) * s_sq ** shared * (1.0 - s_sq) ** (m - shared)
+        if weight:
+            binomial = [math.comb(m - shared, j) * routed ** j * (1.0 - routed) ** (m - shared - j)
+                        for j in range(m - shared + 1)]
+            probs += weight * np.convolve(reference_unit_overlap(n, shared, transfer), binomial)
+    return probs
+
+
+photon_pairs = st.integers(0, 64).flatmap(lambda total: st.tuples(st.integers(0, total), st.just(total)))
+stage_points = st.lists(st.tuples(*[st.floats(-7, 7, allow_nan=False)] * 6), min_size=1, max_size=6)
+
+
+class TestArrayKernel:
+    @given(photon_pairs, stage_points)
+    @settings(max_examples=80, deadline=None)
+    def test_unit_overlap_matches_the_per_count_loop(self, pair, points):
+        n, m = pair[0], pair[1] - pair[0]
+        transfers = [build_transfer_matrix(StageAngles(*p[:3]), StageAngles(*p[3:])) for p in points]
+        raw, _ = release_probabilities(n, m, transfer_entries(*np.array(points).T))
+        for row, transfer in zip(raw, transfers):
+            assert row.tobytes() == reference_unit_overlap(n, m, transfer).tobytes()
+
+    @given(st.integers(0, 12), st.integers(0, 12), stage_points,
+           st.floats(0.0, 1.0 - 2e-8) | st.sampled_from([0.0, 0.5, 1.0 - 2e-8]))
+    @settings(max_examples=60, deadline=None)
+    def test_partial_overlap_matches_the_per_point_mixture(self, n, m, points, s):
+        transfers = [build_transfer_matrix(StageAngles(*p[:3]), StageAngles(*p[3:])) for p in points]
+        raw, _ = release_probabilities(n, m, transfer_entries(*np.array(points).T), s)
+        for row, transfer in zip(raw, transfers):
+            assert row.tobytes() == reference_mixture(n, m, s, transfer).tobytes()
+
+    @given(photon_pairs, st.lists(st.floats(0, 2 * np.pi), min_size=1, max_size=8),
+           st.lists(st.sampled_from([1.0, 1.0 - 5e-9, 1.0 - 1e-8, 1.0 - 2e-8, 0.7, 0.0]),
+                    min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_grid_rows_are_the_single_point_distributions(self, pair, deltas, overlaps):
+        n, m = pair[0], pair[1] - pair[0]
+        size = min(len(deltas), len(overlaps))
+        deltas, overlaps = np.array(deltas[:size]), np.array(overlaps[:size])
+        probs, ok = release_probabilities(n, m, magnetic_phase_entries(deltas), overlaps)
+        for row, good, delta, s in zip(probs, ok, deltas, overlaps):
+            fock_input = FockInput(n, m, GramMatrix(s))
+            try:
+                single = release_distribution(fock_input, magnetic_phase_matrix(delta)).probabilities
+            except InternalConsistencyError:
+                assert not good
+                continue
+            assert good
+            assert np.clip(row, 0.0, 1.0).tobytes() == single.tobytes()
+
+    def test_grid_larger_than_a_chunk(self, rng):
+        size = GRID_CHUNK + 57
+        points = rng.uniform(-7, 7, size=(6, size))
+        overlaps = np.where(rng.random(size) < 0.5, 1.0, rng.uniform(0, 1, size))
+        raw, ok = release_probabilities(5, 3, transfer_entries(*points), overlaps)
+        assert ok.all()
+        for row, point, s in zip(raw, points.T, overlaps):
+            transfer = build_transfer_matrix(StageAngles(*point[:3]), StageAngles(*point[3:]))
+            want = reference_unit_overlap(5, 3, transfer) if s == 1.0 else reference_mixture(5, 3, s, transfer)
+            assert row.tobytes() == want.tobytes()
+
+    def test_failed_guard_names_the_route(self):
+        # the unit-overlap sum loses precision from about n = m = 24
+        with pytest.raises(InternalConsistencyError, match=r"\(unit-overlap closed form\)"):
+            release_distribution_unit_overlap(FockInput(32, 32), magnetic_phase_matrix(1.3))
+        with pytest.raises(InternalConsistencyError, match=r"\(partial-overlap closed form\)"):
+            release_distribution(FockInput(32, 32, GramMatrix(0.9)), magnetic_phase_matrix(1.3))

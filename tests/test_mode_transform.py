@@ -18,6 +18,12 @@ from storedlight import (
     gram_from_packets,
     magnetic_phase_matrix,
 )
+from storedlight.mode_transform import (
+    UNITARITY_TOL,
+    magnetic_phase_entries,
+    transfer_entries,
+    unitarity_defects,
+)
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -169,3 +175,42 @@ class TestGramFromPackets:
             gram = gram_from_packets(f, f, self.dt)
         assert abs(gram.s_overlap) <= 1.0
         assert gram.is_unit_overlap()
+
+
+def _entries(transfer):
+    return np.array([transfer.s11, transfer.s12, transfer.s21, transfer.s22])
+
+
+class TestGridEntries:
+    @given(st.lists(st.tuples(angles, angles, angles, angles, angles, angles), min_size=1, max_size=20))
+    @settings(max_examples=100, deadline=None)
+    def test_stage_entries_match_the_matrix_bit_for_bit(self, points):
+        grid = transfer_entries(*np.array(points).T)
+        for column, point in zip(grid.T, points):
+            transfer = build_transfer_matrix(StageAngles(*point[:3]), StageAngles(*point[3:]))
+            assert column.tobytes() == _entries(transfer).tobytes()
+
+    @given(st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=1, max_size=20))
+    @settings(max_examples=100, deadline=None)
+    def test_magnetic_entries_match_the_matrix_bit_for_bit(self, deltas):
+        grid = magnetic_phase_entries(np.array(deltas))
+        for column, delta in zip(grid.T, deltas):
+            assert column.tobytes() == _entries(magnetic_phase_matrix(delta)).tobytes()
+
+    def test_numbers_broadcast_against_arrays(self):
+        grid = transfer_entries(0.1, 0.2, 0.3, np.array([0.4, 0.5]), 0.6, 0.7)
+        assert grid.shape == (4, 2)
+        assert magnetic_phase_entries(0.3).shape == (4, 1)
+
+    def test_defects_follow_the_scalar_method(self, rng):
+        points = rng.uniform(-7, 7, size=(6, 50))
+        defects = unitarity_defects(transfer_entries(*points))
+        for defect, point in zip(defects, points.T):
+            transfer = build_transfer_matrix(StageAngles(*point[:3]), StageAngles(*point[3:]))
+            assert defect == pytest.approx(transfer.unitarity_defect(), abs=1e-15)
+        assert np.all(defects < 1e-15)
+
+    def test_nonfinite_points_fail_the_unitarity_guard(self):
+        grid = transfer_entries(np.array([0.1, np.inf, np.nan]), 0.0, 0.0, 0.2, 0.0, 0.0)
+        assert (unitarity_defects(grid) <= UNITARITY_TOL).tolist() == [True, False, False]
+        assert not unitarity_defects(magnetic_phase_entries(np.inf))[0] <= UNITARITY_TOL
