@@ -4,11 +4,14 @@ A number state with n photons is written into the first packet of channel 1
 and one with m photons into the second packet of channel 2.  After the release
 stages mix the channels, the photon number in output channel 1 follows an
 interference distribution.  When the two packets overlap completely the
-distribution has an exact closed form.  At partial overlap the second packet
-splits into a part along the first packet, which interferes, and an orthogonal
-remainder whose photons are distinguishable; the distribution is then an exact
-binomial mixture of unit-overlap distributions, each convolved with the
-independent routing of the remainder's photons.
+transfer acts on the photons as a spin rotation, and the distribution is a
+squared column of its Wigner d-matrix, evaluated through a cached
+eigendecomposition of J_y that stays accurate up to the 64-photon cap.  At
+partial overlap the second packet splits into a part along the first packet,
+which interferes, and an orthogonal remainder whose photons are
+distinguishable; the distribution is then an exact binomial mixture of
+unit-overlap distributions, each convolved with the independent routing of
+the remainder's photons.
 
 release_probabilities evaluates both forms for a whole grid of transfer
 matrices at once, array in and array out, in fixed-size chunks of points.
@@ -33,8 +36,8 @@ from .errors import (
 )
 from .mode_transform import UNIT_OVERLAP_TOL, GramMatrix, TransferMatrix
 
-# Largest total photon number the closed form is exercised at.  Binomial
-# coefficients up to C(64, 32) convert to float with full relative precision.
+# Largest total photon number a FockInput accepts by default; the closed
+# forms are tested up to it.
 MAX_TOTAL_PHOTONS = 64
 
 # Raw probabilities outside [0, 1] by more than this indicate a bug rather
@@ -76,6 +79,14 @@ class FockInput:
         return self.n + self.m
 
 
+def _guard_checks(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each probability vector along the last axis of raw stays in
+    [0, 1] within PROBABILITY_GUARD, and whether it sums to 1 within SUM_TOL.
+    Written as conditions to pass, so a NaN fails both."""
+    in_range = (raw.min(axis=-1) >= -PROBABILITY_GUARD) & (raw.max(axis=-1) <= 1.0 + PROBABILITY_GUARD)
+    return in_range, np.abs(raw.sum(axis=-1) - 1.0) <= SUM_TOL
+
+
 class ReleaseDistribution:
     """Probability vector for the photon count in output channel 1.
 
@@ -88,15 +99,14 @@ class ReleaseDistribution:
         raw = np.asarray(probabilities, dtype=float)
         if raw.ndim != 1 or raw.size == 0:
             raise ParameterDomainError("probabilities must form a non-empty 1-d vector")
-        low, high = float(raw.min()), float(raw.max())
-        if low < -PROBABILITY_GUARD or high > 1.0 + PROBABILITY_GUARD:
+        in_range, normalised = _guard_checks(raw)
+        if not in_range:
             raise InternalConsistencyError(
-                f"probability outside [0, 1] beyond rounding: min {low:.3e}, max {high:.3e}"
+                f"probability outside [0, 1] beyond rounding: min {raw.min():.3e}, max {raw.max():.3e}"
             )
-        total = float(raw.sum())
-        if abs(total - 1.0) > SUM_TOL:
+        if not normalised:
             raise InternalConsistencyError(
-                f"probabilities sum to {total:.12f}, expected 1 within {SUM_TOL:.1e}"
+                f"probabilities sum to {raw.sum():.12f}, expected 1 within {SUM_TOL:.1e}"
             )
         clipped = np.clip(raw, 0.0, 1.0)
         clipped.flags.writeable = False
@@ -125,59 +135,41 @@ class ReleaseDistribution:
 
 
 # Sweep points evaluated together: bounds the complex term block, which has
-# up to 1,089 terms a point (n = m = 32).
+# up to 65 x 65 terms a point at 64 photons.
 GRID_CHUNK = 256
 
 
-def _powers(base: np.ndarray, count: int) -> np.ndarray:
-    """Rows [1, b, b^2, ...] of the given length for each b of a (P,) array."""
-    out = np.ones((base.size, count), dtype=complex)
-    np.cumprod(np.broadcast_to(base[:, None], (base.size, count - 1)), axis=1, out=out[:, 1:])
-    return out
-
-
-@functools.lru_cache(maxsize=128)
-def _term_tables(n: int, m: int):
-    """Index, coefficient and weight tables of the interference sums for n
-    and m photons.  The terms of all counts lie back to back, the counts
-    grouped by their number of terms, so each group is a contiguous (counts,
-    terms) block a point that numpy sums in the pairwise order of a 1-d sum."""
-    by_size = {}
-    for i in range(n + m + 1):
-        by_size.setdefault(min(n, i) - max(0, i - m) + 1, []).append(i)
-    ks, ics, groups, start = [], [], [], 0
-    for size, counts in by_size.items():
-        counts = np.array(counts)
-        ks.append((np.maximum(0, counts - m)[:, None] + np.arange(size)).ravel())
-        ics.append(np.repeat(counts, size))
-        groups.append((counts, start, start + counts.size * size, size))
-        start += counts.size * size
-    k, i = np.concatenate(ks), np.concatenate(ics)
-    comb_n = np.array([math.comb(n, x) for x in range(n + 1)], dtype=float)
-    comb_m = np.array([math.comb(m, x) for x in range(m + 1)], dtype=float)
-    base = math.factorial(n) * math.factorial(m)
-    # exact integer ratios, each rounded once on conversion to float
-    weight = np.array([math.factorial(x) * math.factorial(n + m - x) / base for x in range(n + m + 1)])
-    tables = (k, n - k, i - k, m - i + k, comb_n[k] * comb_m[i - k], weight)
-    for table in tables:
-        table.flags.writeable = False
-    return tables, groups
+@functools.lru_cache(maxsize=MAX_TOTAL_PHOTONS + 1)
+def _jy_eigenvectors(total: int) -> np.ndarray:
+    """Eigenvectors of J_y on the spin-total/2 states |k, total - k> (k
+    photons in channel 1), as the columns of a read-only unitary V in the
+    order of the eigenvalues k - total/2."""
+    k = np.arange(total)
+    # <k + 1|J_y|k> = sqrt((k + 1)(total - k)) / 2i
+    ladder = np.sqrt((k + 1.0) * (total - k)) / 2j
+    _, vectors = np.linalg.eigh(np.diag(ladder, -1) + np.diag(ladder.conj(), 1))
+    vectors.flags.writeable = False
+    return vectors
 
 
 def _unit_overlap_block(n: int, m: int, entries: np.ndarray) -> np.ndarray:
     """Raw count probabilities for n and m photons in fully overlapping
-    packets, a row per column of the (4, P) entries.  P(i) is a squared
-    interference sum over the ways of routing k of the n first-channel
-    photons and i - k of the m second-channel photons into channel 1."""
-    s11, s12, s21, s22 = entries
-    (k, n_k, j, m_j, coef, weight), groups = _term_tables(n, m)
-    terms = np.ascontiguousarray(coef * _powers(s11, n + 1)[:, k] * _powers(s21, n + 1)[:, n_k]
-                                 * _powers(s12, m + 1)[:, j] * _powers(s22, m + 1)[:, m_j])
-    amplitude = np.empty((len(terms), n + m + 1), dtype=complex)
-    for counts, start, stop, size in groups:
-        amplitude[:, counts] = terms[:, start:stop].reshape(len(terms), counts.size, size).sum(axis=-1)
-    # float_power rounds as Python's x ** 2 does; x * x can differ in the last bit
-    return weight * (np.float_power(amplitude.real, 2) + np.float_power(amplitude.imag, 2))
+    packets, a row per column of the (4, P) entries.
+
+    The transfer acts on the n + m photons as a rotation of spin j = (n+m)/2
+    (Yurke, McCall & Klauder, PRA 33, 4033, 1986), so P(i) = |d^j_{i-j,n-j}(beta)|^2
+    with cos(beta/2) = |S11|.  Column n of d(beta) = V diag(exp(-i beta mu)) V^+
+    comes from the eigenvectors V of J_y and its exact eigenvalues mu, which
+    is backward stable (Feng et al., PRE 92, 043307, 2015).
+    """
+    total = n + m
+    vectors = _jy_eigenvectors(total)
+    beta = 2.0 * np.arctan2(np.abs(entries[1]), np.abs(entries[0]))
+    scaled = np.exp(-1j * np.multiply.outer(beta, np.arange(total + 1) - total / 2)) * vectors[n].conj()
+    # a broadcast product summed over its contiguous last axis rounds every
+    # row alike at any P, where matmul's rounding depends on the BLAS blocks
+    column = (vectors * scaled[:, None, :]).sum(axis=-1)
+    return column.real ** 2 + column.imag ** 2
 
 
 def _mixture_block(n: int, m: int, overlap: np.ndarray, entries: np.ndarray) -> np.ndarray:
@@ -190,17 +182,17 @@ def _mixture_block(n: int, m: int, overlap: np.ndarray, entries: np.ndarray) -> 
     distinguishable and reach channel 1 independently with probability
     |S12|^2 (Tichy, J. Phys. B 47, 103001, 2014).
     """
-    s_sq = np.float_power(overlap, 2)
-    routed = np.float_power(np.hypot(entries[1].real, entries[1].imag), 2)[:, None]
+    s_sq = overlap ** 2
+    routed = np.abs(entries[1])[:, None] ** 2
     probs = np.zeros((overlap.size, n + m + 1))
     for shared in range(m + 1):
-        weight = math.comb(m, shared) * np.float_power(s_sq, shared) * np.float_power(1.0 - s_sq, m - shared)
+        weight = math.comb(m, shared) * s_sq ** shared * (1.0 - s_sq) ** (m - shared)
         rows = np.flatnonzero(weight)
         if rows.size == 0:
             continue
         j = np.arange(m - shared + 1)
         spread = (np.array([math.comb(m - shared, x) for x in j], dtype=float)
-                  * np.float_power(routed[rows], j) * np.float_power(1.0 - routed[rows], m - shared - j))
+                  * routed[rows] ** j * (1.0 - routed[rows]) ** (m - shared - j))
         # row by row: np.convolve's BLAS dot products fuse multiply-adds,
         # which no numpy array expression reproduces bit for bit
         for row, unit, binomial in zip(rows, _unit_overlap_block(n, shared, entries[:, rows]), spread):
@@ -226,9 +218,8 @@ def release_probabilities(n: int, m: int, entries, overlap=1.0) -> tuple[np.ndar
             raw[unit] = _unit_overlap_block(n, m, entries[:, unit])
         if part.size:
             raw[part] = _mixture_block(n, m, overlap[part], entries[:, part])
-    ok = ((raw.min(axis=1) >= -PROBABILITY_GUARD) & (raw.max(axis=1) <= 1.0 + PROBABILITY_GUARD)
-          & (np.abs(raw.sum(axis=1) - 1.0) <= SUM_TOL))
-    return raw, ok
+    in_range, normalised = _guard_checks(raw)
+    return raw, in_range & normalised
 
 
 def release_distribution_unit_overlap(fock_input: FockInput, transfer: TransferMatrix) -> ReleaseDistribution:

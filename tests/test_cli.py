@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import overshoot_unit_overlap
 from storedlight import (
     CapacityError,
     ExperimentConfigError,
@@ -281,9 +282,12 @@ class TestRunners:
         got = run_experiment(config).rows
         assert [tuple(map(float_bits, row)) for row in got] == [tuple(map(float_bits, row)) for row in expected]
 
-    def test_failing_sweep_names_the_first_failing_point(self):
+    def test_failing_sweep_names_the_first_failing_point(self, monkeypatch):
+        # the kernel overshoots normalisation where |S11| = |cos(delta/2)| < 1/2
+        overshoot_unit_overlap(monkeypatch, lambda entries: np.abs(entries[0]) < 0.5)
         deltas = np.linspace(0.0, 2 * np.pi, 33)
         first = next(delta for delta in deltas if not _single_point_succeeds(32, 32, delta))
+        assert first == deltas[11]
         config = ExperimentConfig.from_mapping({
             "kind": "fock-distribution",
             "params": {"n": 32, "m": 32, "i": 32},
@@ -416,6 +420,16 @@ class TestMainEntry:
         # the CSV carries 12 significant digits per probability
         assert mean == pytest.approx(mean_release_count(fock_input, transfer), abs=1e-9)
         assert variance == pytest.approx(release_variance(fock_input, transfer), abs=1e-8)
+
+    @pytest.mark.parametrize("overlap", [[], ["--set", "s=0.9"], ["--set", "s=0.99"]])
+    def test_thirty_two_photon_pairs(self, overlap, capsys):
+        # these settings broke the normalisation guard under the binomial sum
+        code = main(["eval", "--kind", "fock-distribution", "--set", "n=32", "--set", "m=32",
+                     "--set", "i=32", "--set", "delta=1.3", *overlap])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert 0.0 < float(lines[1]) < 1.0
 
     def test_import_does_not_load_scipy(self):
         env = dict(os.environ)

@@ -1,11 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_transfer
+from conftest import overshoot_unit_overlap, random_transfer
 from storedlight import (
     CapacityError,
     FockInput,
@@ -61,6 +62,12 @@ class TestReleaseDistribution:
     def test_rejects_bad_normalization(self):
         with pytest.raises(InternalConsistencyError):
             ReleaseDistribution([0.5, 0.5 + 2e-9])
+
+    def test_rejects_nan(self):
+        with pytest.raises(InternalConsistencyError):
+            ReleaseDistribution([float("nan"), 0.5])
+        _, ok = release_probabilities(0, 1, [[np.nan], [np.nan], [np.nan], [np.nan]])
+        assert not ok.any()
 
     def test_moments(self):
         dist = ReleaseDistribution([0.25, 0.5, 0.25])
@@ -263,8 +270,9 @@ class TestFanoFactor:
 
 
 def reference_unit_overlap(n, m, transfer):
-    """The per-count loop that the array kernel replaced, frozen as the
-    bitwise reference: raw count probabilities at unit overlap."""
+    """The per-count alternating binomial sum that the Wigner-d kernel
+    replaced, frozen as a reference for photon numbers where it is still
+    accurate: raw count probabilities at unit overlap."""
     def powers(base, count):
         out = np.empty(count, dtype=complex)
         out[0] = 1.0
@@ -289,7 +297,7 @@ def reference_unit_overlap(n, m, transfer):
 
 
 def reference_mixture(n, m, s, transfer):
-    """The per-point partial-overlap mixture the array kernel replaced."""
+    """The per-point partial-overlap mixture over the frozen sum above."""
     s_sq, routed = abs(s) ** 2, abs(transfer.s12) ** 2
     probs = np.zeros(n + m + 1)
     for shared in range(m + 1):
@@ -301,28 +309,47 @@ def reference_mixture(n, m, s, transfer):
     return probs
 
 
-photon_pairs = st.integers(0, 64).flatmap(lambda total: st.tuples(st.integers(0, total), st.just(total)))
+def exact_unit_overlap(n, m, a, b, c):
+    """Count probabilities as exact fractions for the transfer matrix
+    [[a, b], [-b, a]] / c with a^2 + b^2 = c^2, from the integer
+    coefficients of (a x - b)^n (b x + a)^m."""
+    total = n + m
+    probs = []
+    for i in range(total + 1):
+        coefficient = sum(math.comb(n, k) * math.comb(m, i - k) * a ** k * (-b) ** (n - k)
+                          * b ** (i - k) * a ** (m - i + k) for k in range(max(0, i - m), min(n, i) + 1))
+        probs.append(Fraction(math.factorial(i) * math.factorial(total - i) * coefficient ** 2,
+                              math.factorial(n) * math.factorial(m) * c ** (2 * total)))
+    return probs
+
+
+def photon_pairs_up_to(cap):
+    return st.integers(0, cap).flatmap(lambda total: st.tuples(st.integers(0, total), st.just(total)))
+
+
+photon_pairs = photon_pairs_up_to(64)
 stage_points = st.lists(st.tuples(*[st.floats(-7, 7, allow_nan=False)] * 6), min_size=1, max_size=6)
 
 
 class TestArrayKernel:
-    @given(photon_pairs, stage_points)
+    @given(photon_pairs_up_to(16), stage_points)
     @settings(max_examples=80, deadline=None)
     def test_unit_overlap_matches_the_per_count_loop(self, pair, points):
         n, m = pair[0], pair[1] - pair[0]
         transfers = [build_transfer_matrix(StageAngles(*p[:3]), StageAngles(*p[3:])) for p in points]
         raw, _ = release_probabilities(n, m, transfer_entries(*np.array(points).T))
         for row, transfer in zip(raw, transfers):
-            assert row.tobytes() == reference_unit_overlap(n, m, transfer).tobytes()
+            assert np.allclose(row, reference_unit_overlap(n, m, transfer), rtol=0.0, atol=1e-13)
 
-    @given(st.integers(0, 12), st.integers(0, 12), stage_points,
+    @given(photon_pairs_up_to(16), stage_points,
            st.floats(0.0, 1.0 - 2e-8) | st.sampled_from([0.0, 0.5, 1.0 - 2e-8]))
     @settings(max_examples=60, deadline=None)
-    def test_partial_overlap_matches_the_per_point_mixture(self, n, m, points, s):
+    def test_partial_overlap_matches_the_per_point_mixture(self, pair, points, s):
+        n, m = pair[0], pair[1] - pair[0]
         transfers = [build_transfer_matrix(StageAngles(*p[:3]), StageAngles(*p[3:])) for p in points]
         raw, _ = release_probabilities(n, m, transfer_entries(*np.array(points).T), s)
         for row, transfer in zip(raw, transfers):
-            assert row.tobytes() == reference_mixture(n, m, s, transfer).tobytes()
+            assert np.allclose(row, reference_mixture(n, m, s, transfer), rtol=0.0, atol=1e-13)
 
     @given(photon_pairs, st.lists(st.floats(0, 2 * np.pi), min_size=1, max_size=8),
            st.lists(st.sampled_from([1.0, 1.0 - 5e-9, 1.0 - 1e-8, 1.0 - 2e-8, 0.7, 0.0]),
@@ -347,16 +374,38 @@ class TestArrayKernel:
         size = GRID_CHUNK + 57
         points = rng.uniform(-7, 7, size=(6, size))
         overlaps = np.where(rng.random(size) < 0.5, 1.0, rng.uniform(0, 1, size))
-        raw, ok = release_probabilities(5, 3, transfer_entries(*points), overlaps)
+        entries = transfer_entries(*points)
+        raw, ok = release_probabilities(5, 3, entries, overlaps)
         assert ok.all()
-        for row, point, s in zip(raw, points.T, overlaps):
-            transfer = build_transfer_matrix(StageAngles(*point[:3]), StageAngles(*point[3:]))
-            want = reference_unit_overlap(5, 3, transfer) if s == 1.0 else reference_mixture(5, 3, s, transfer)
-            assert row.tobytes() == want.tobytes()
+        for k, row in enumerate(raw):
+            single, _ = release_probabilities(5, 3, entries[:, k:k + 1], overlaps[k])
+            assert row.tobytes() == single[0].tobytes()
 
-    def test_failed_guard_names_the_route(self):
-        # the unit-overlap sum loses precision from about n = m = 24
+    def test_failed_guard_names_the_route(self, monkeypatch):
+        unit, partial = FockInput(32, 32), FockInput(32, 32, GramMatrix(0.9))
+        release_distribution_unit_overlap(unit, magnetic_phase_matrix(1.3))
+        release_distribution(partial, magnetic_phase_matrix(1.3))
+        overshoot_unit_overlap(monkeypatch, lambda entries: np.ones(entries.shape[1], dtype=bool))
         with pytest.raises(InternalConsistencyError, match=r"\(unit-overlap closed form\)"):
-            release_distribution_unit_overlap(FockInput(32, 32), magnetic_phase_matrix(1.3))
+            release_distribution_unit_overlap(unit, magnetic_phase_matrix(1.3))
         with pytest.raises(InternalConsistencyError, match=r"\(partial-overlap closed form\)"):
-            release_distribution(FockInput(32, 32, GramMatrix(0.9)), magnetic_phase_matrix(1.3))
+            release_distribution(partial, magnetic_phase_matrix(1.3))
+
+
+class TestUpToTheCap:
+    @pytest.mark.parametrize("a,b,c", [(3, 4, 5), (20, 21, 29)])
+    def test_exact_at_pythagorean_transfers(self, a, b, c):
+        entries = np.array([[a / c], [b / c], [-b / c], [a / c]])
+        for total in (0, 1, 2, 3, 5, 8, 13, 16, 21, 24, 32, 33, 40, 48, 56, 63, 64):
+            for n in range(total + 1):
+                raw, _ = release_probabilities(n, total - n, entries)
+                exact = [float(p) for p in exact_unit_overlap(n, total - n, a, b, c)]
+                assert np.allclose(raw[0], exact, rtol=0.0, atol=1e-14), (n, total - n)
+
+    @pytest.mark.parametrize("total", [48, 64])
+    def test_normalised_at_every_split(self, total):
+        entries = magnetic_phase_entries(np.linspace(0.0, 2 * np.pi, 1000))
+        for n in range(total + 1):
+            raw, ok = release_probabilities(n, total - n, entries)
+            assert ok.all()
+            assert np.abs(raw.sum(axis=1) - 1.0).max() <= 1e-13, (n, total - n)
