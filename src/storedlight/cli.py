@@ -19,22 +19,23 @@ from __future__ import annotations
 
 import argparse
 import ast
-import itertools
 import json
 import math
 import operator
 import re
 import sys
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import astuple, dataclass, field
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ExperimentConfigError, InternalConsistencyError, SimulationError
 from .fock_interference import (MAX_TOTAL_PHOTONS, FockInput, release_distribution,
                                 release_distribution_unit_overlap, release_probabilities)
-from .gaussian_states import SqueezedInput, released_quadratures, uncertainty_product
-from .homodyne import PROBE_CLASSICAL, PROBE_QUANTUM, HomodyneConfig, general_variance
+from .gaussian_states import (SqueezedInput, quadrature_moments, released_quadratures,
+                              uncertainty_product)
+from .homodyne import (PROBE_CLASSICAL, PROBE_QUANTUM, HomodyneConfig, count_difference_variance,
+                       general_variance)
 from .mode_transform import (OVERLAP_ROUNDING_TOL, UNITARITY_TOL, GramMatrix, StageAngles,
                              build_transfer_matrix, magnetic_phase_entries, magnetic_phase_matrix,
                              transfer_entries, unitarity_defects)
@@ -103,54 +104,6 @@ def _evaluate(node, source: str) -> float:
 
 _REQUIRED = object()
 
-# (type, default); type is "float" (expression-capable), "int" or "str"
-_SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
-    "fock-distribution": {
-        "n": ("int", _REQUIRED),
-        "m": ("int", _REQUIRED),
-        "i": ("int", None),
-        "s": ("float", 1.0),
-        "delta": ("float", None),
-        "phi0": ("float", 0.0),
-        "chi20": ("float", 0.0),
-        "chi30": ("float", 0.0),
-        "phi1": ("float", 0.0),
-        "chi21": ("float", 0.0),
-        "chi31": ("float", 0.0),
-    },
-    "quadratures": {
-        "r1": ("float", 0.0),
-        "r2": ("float", 0.0),
-        "alpha1_re": ("float", 0.0),
-        "alpha1_im": ("float", 0.0),
-        "alpha2_re": ("float", 0.0),
-        "alpha2_im": ("float", 0.0),
-        "delta": ("float", None),
-        "phi0": ("float", 0.0),
-        "chi20": ("float", 0.0),
-        "chi30": ("float", 0.0),
-        "phi1": ("float", 0.0),
-        "chi21": ("float", 0.0),
-        "chi31": ("float", 0.0),
-    },
-    "homodyne": {
-        "r1": ("float", 0.0),
-        "alpha2_mod": ("float", _REQUIRED),
-        "gamma": ("float", 0.0),
-        "phi0": ("float", 0.0),
-        "phi1": ("float", 0.0),
-        "probe": ("str", PROBE_QUANTUM),
-    },
-}
-_SCHEMAS["uncertainty-product"] = dict(_SCHEMAS["quadratures"])
-
-_VALUE_COLUMNS = {
-    "fock-distribution": ("probability",),
-    "quadratures": ("mean_q", "mean_p", "var_q", "var_p"),
-    "uncertainty-product": ("var_q", "var_p", "product"),
-    "homodyne": ("var_k",),
-}
-
 _ANGLE_KEYS = ("phi0", "chi20", "chi30", "phi1", "chi21", "chi31")
 
 
@@ -185,11 +138,11 @@ class ExperimentConfig:
         if unknown:
             raise ExperimentConfigError(f"unknown configuration keys {sorted(unknown)}")
         kind = mapping.get("kind")
-        if kind not in _SCHEMAS:
+        if kind not in _KINDS:
             raise ExperimentConfigError(
-                f"kind must be one of {sorted(_SCHEMAS)}, got {kind!r}"
+                f"kind must be one of {sorted(_KINDS)}, got {kind!r}"
             )
-        schema = _SCHEMAS[kind]
+        schema = _KINDS[kind].schema
         raw_params = mapping.get("params", {})
         if not isinstance(raw_params, dict):
             raise ExperimentConfigError("params must be a mapping")
@@ -234,12 +187,13 @@ class ExperimentConfig:
         return config
 
     def _fill_defaults(self):
-        schema = _SCHEMAS[self.kind]
+        schema = _KINDS[self.kind].schema
         for name, (_, default) in schema.items():
             if name not in self.params and default not in (None, _REQUIRED):
                 self.params[name] = default
+        swept = {axis.name for axis in self.sweep}
         missing = [name for name, (_, default) in schema.items()
-                   if default is _REQUIRED and name not in self.params]
+                   if default is _REQUIRED and name not in self.params and name not in swept]
         if missing:
             raise ExperimentConfigError(
                 f"kind {self.kind!r} requires parameters {sorted(missing)}"
@@ -272,11 +226,12 @@ def _coerce(type_name: str, key: str, value):
             return value
         if isinstance(value, float) and value.is_integer():
             return int(value)
-        if isinstance(value, str):
+        # int() would read 1_0 as 10
+        if isinstance(value, str) and "_" not in value:
             try:
                 return int(value, 10)
             except ValueError:
-                raise ExperimentConfigError(f"{key} must be an integer, got {value!r}") from None
+                pass
     elif type_name == "str":
         if isinstance(value, str):
             return value
@@ -309,17 +264,13 @@ def apply_overrides(mapping: dict, assignments: list[str]) -> dict:
 
 
 # ----------------------------------------------------------------------
-# point evaluation
+# kinds: a grid kernel and a single-point route per quantity
 
 def _transfer_from_params(params: dict):
-    delta = params.get("delta")
-    if delta is not None:
-        return magnetic_phase_matrix(delta)
-    storage = StageAngles(params.get("phi0", 0.0), params.get("chi20", 0.0),
-                          params.get("chi30", 0.0))
-    release = StageAngles(params.get("phi1", 0.0), params.get("chi21", 0.0),
-                          params.get("chi31", 0.0))
-    return build_transfer_matrix(storage, release)
+    if params.get("delta") is not None:
+        return magnetic_phase_matrix(params["delta"])
+    angles = [params[key] for key in _ANGLE_KEYS]
+    return build_transfer_matrix(StageAngles(*angles[:3]), StageAngles(*angles[3:]))
 
 
 def _fock_distribution(params: dict):
@@ -329,45 +280,116 @@ def _fock_distribution(params: dict):
     # release_distribution would dispatch on the overlap by itself; a single
     # point calls the unit-overlap form by name so that per-layer spans wrapped
     # around the names this module binds still see it (sweeps bypass both
-    # names through _fock_sweep)
+    # names through release_probabilities)
     if overlap.is_unit_overlap():
         return release_distribution_unit_overlap(fock_input, transfer)
     return release_distribution(fock_input, transfer)
 
 
-def _evaluate_point(kind: str, params: dict) -> tuple:
-    if kind == "fock-distribution":
-        distribution = _fock_distribution(params)
-        target = params["i"]
-        if not 0 <= target < len(distribution):
-            raise ExperimentConfigError(
-                f"count i={target} outside 0..{len(distribution) - 1}"
-            )
-        return (distribution[target],)
-    if kind in ("quadratures", "uncertainty-product"):
-        transfer = _transfer_from_params(params)
-        inputs = SqueezedInput(
-            alpha1=complex(params["alpha1_re"], params["alpha1_im"]),
-            alpha2=complex(params["alpha2_re"], params["alpha2_im"]),
-            r1=params["r1"],
-            r2=params["r2"],
-        )
-        stats = released_quadratures(inputs, transfer)
-        if kind == "quadratures":
-            return (stats.mean_q, stats.mean_p, stats.var_q, stats.var_p)
-        return (stats.var_q, stats.var_p, uncertainty_product(stats))
-    if kind == "homodyne":
-        config = HomodyneConfig(
-            r1=params["r1"],
-            alpha2_mod=params["alpha2_mod"],
-            gamma=params["gamma"],
-            storage=StageAngles(params["phi0"], 0.0, 0.0),
-            release=StageAngles(params["phi1"], 0.0, 0.0),
-            probe_treatment=params["probe"],
-        )
-        return (general_variance(config),)
-    raise ExperimentConfigError(f"unknown kind {kind!r}")
+def _count_kernel(grid: dict, entries: np.ndarray):
+    n, m, target = grid["n"], grid["m"], grid["i"]
+    # the FockInput checks and the count range hold at every point or at none
+    if not (min(n, m) >= 0 and 0 <= target <= n + m <= MAX_TOTAL_PHOTONS):
+        return [np.nan], False
+    overlap = np.abs(grid["s"])
+    probs, passed = release_probabilities(n, m, entries, overlap)
+    return [np.clip(probs[:, target], 0.0, 1.0)], passed & (overlap <= 1.0 + OVERLAP_ROUNDING_TOL)
 
+
+def _count_point(params: dict) -> tuple:
+    distribution = _fock_distribution(params)
+    target = params["i"]
+    if not 0 <= target < len(distribution):
+        raise ExperimentConfigError(f"count i={target} outside 0..{len(distribution) - 1}")
+    return (distribution[target],)
+
+
+def _quadrature_kernel(grid: dict, entries: np.ndarray):
+    return quadrature_moments(entries[:2], grid["r1"], grid["r2"],
+                              (grid["alpha1_re"], grid["alpha1_im"]),
+                              (grid["alpha2_re"], grid["alpha2_im"]))
+
+
+def _uncertainty_kernel(grid: dict, entries: np.ndarray):
+    (_, _, var_q, var_p), passed = _quadrature_kernel(grid, entries)
+    return (var_q, var_p, var_q * var_p), passed
+
+
+def _released(params: dict):
+    transfer = _transfer_from_params(params)
+    inputs = SqueezedInput(complex(params["alpha1_re"], params["alpha1_im"]),
+                           complex(params["alpha2_re"], params["alpha2_im"]), params["r1"], params["r2"])
+    return released_quadratures(inputs, transfer)
+
+
+def _uncertainty_point(params: dict) -> tuple:
+    stats = _released(params)
+    return stats.var_q, stats.var_p, uncertainty_product(stats)
+
+
+def _homodyne_kernel(grid: dict, entries: np.ndarray):
+    variance, passed = count_difference_variance(grid["r1"], grid["alpha2_mod"], grid["gamma"],
+                                                 grid["phi1"] - grid["phi0"], grid["probe"])
+    return [variance], passed
+
+
+def _homodyne_point(params: dict) -> tuple:
+    config = HomodyneConfig(params["r1"], params["alpha2_mod"], params["gamma"],
+                            StageAngles(params["phi0"], 0.0, 0.0), StageAngles(params["phi1"], 0.0, 0.0),
+                            params["probe"])
+    return (general_variance(config),)
+
+
+class _Kind(NamedTuple):
+    # parameter name -> (type, default); type is "float" (expression-capable), "int" or "str"
+    schema: dict
+    columns: tuple
+    # (parameters, each a number or a (P,) array; (4, P) transfer entries)
+    # -> (value columns, each a number or a (P,) array; (P,) mask of passing points)
+    kernel: Callable
+    # parameters -> values at one point through the public scalar functions,
+    # raising that point's own error
+    point: Callable
+
+
+_STAGE_ANGLES = {key: ("float", 0.0) for key in _ANGLE_KEYS}
+_SQUEEZED_INPUTS = {
+    "r1": ("float", 0.0),
+    "r2": ("float", 0.0),
+    "alpha1_re": ("float", 0.0),
+    "alpha1_im": ("float", 0.0),
+    "alpha2_re": ("float", 0.0),
+    "alpha2_im": ("float", 0.0),
+    "delta": ("float", None),
+    **_STAGE_ANGLES,
+}
+
+_KINDS = {
+    "fock-distribution": _Kind({
+        "n": ("int", _REQUIRED),
+        "m": ("int", _REQUIRED),
+        "i": ("int", None),
+        "s": ("float", 1.0),
+        "delta": ("float", None),
+        **_STAGE_ANGLES,
+    }, ("probability",), _count_kernel, _count_point),
+    "quadratures": _Kind(_SQUEEZED_INPUTS, ("mean_q", "mean_p", "var_q", "var_p"),
+                         _quadrature_kernel, lambda params: astuple(_released(params))),
+    "uncertainty-product": _Kind(_SQUEEZED_INPUTS, ("var_q", "var_p", "product"),
+                                 _uncertainty_kernel, _uncertainty_point),
+    "homodyne": _Kind({
+        "r1": ("float", 0.0),
+        "alpha2_mod": ("float", _REQUIRED),
+        "gamma": ("float", 0.0),
+        "phi0": ("float", 0.0),
+        "phi1": ("float", 0.0),
+        "probe": ("str", PROBE_QUANTUM),
+    }, ("var_k",), _homodyne_kernel, _homodyne_point),
+}
+
+
+# ----------------------------------------------------------------------
+# the sweep driver
 
 @dataclass
 class Dataset:
@@ -377,10 +399,8 @@ class Dataset:
     rows: list
 
     def to_csv_text(self) -> str:
-        lines = [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(_format_value(value) for value in row))
-        return "\n".join(lines) + "\n"
+        template = ",".join([f"%.{SIGNIFICANT_DIGITS}g"] * len(self.columns))
+        return "\n".join([",".join(self.columns), *(template % row for row in self.rows)]) + "\n"
 
     def write(self, path: str) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
@@ -390,75 +410,57 @@ class Dataset:
         return np.array([row[self.columns.index(name)] for row in self.rows])
 
 
-def _format_value(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), f".{SIGNIFICANT_DIGITS}g")
-
-
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> Dataset:
-    """Evaluate the configured quantity over its sweep grid.
+    """Evaluate the configured quantity over its sweep grid in one array pass
+    through the kind's kernel.
 
-    Rows are emitted in row-major order of the sweep axes as declared.  A
-    count-distribution sweep is evaluated in one array pass, other kinds point
-    by point.  ``workers`` is accepted for compatibility and has no effect:
-    evaluation is serial, and the output the same either way.
+    Rows are emitted in row-major order of the sweep axes as declared.  At the
+    first point, in that order, that fails a check, the single-point route
+    runs again and raises its error with ``at <axis>=<value>, ...`` appended:
+    the error that point raises on its own.  ``workers`` is accepted for
+    compatibility and has no effect: evaluation is serial, and the output the
+    same either way.
     """
+    kind = _KINDS[config.kind]
     names = [axis.name for axis in config.sweep]
-    combos = list(itertools.product(*(axis.values() for axis in config.sweep)))
-    if config.kind == "fock-distribution":
-        values = [(value,) for value in _fock_sweep(config.params, names, combos)]
-    else:
-        values = [_evaluate_point(config.kind, _point(config.params, names, combo)) for combo in combos]
-    rows = [tuple(combo) + tuple(result) for combo, result in zip(combos, values)]
-    return Dataset(columns=tuple(names) + _VALUE_COLUMNS[config.kind], rows=rows)
-
-
-def _point(params: dict, names: list, combo: tuple) -> dict:
-    return {**params, **{name: float(value) for name, value in zip(names, combo)}}
-
-
-def _fock_sweep(params: dict, names: list, combos: list) -> list:
-    """P(i) at every sweep point, in one array pass.  At the first point, in
-    row-major order, that fails a check, the single-point route runs again
-    and raises its error with the point appended: the error a point-by-point
-    sweep stopped with."""
-    grid = {**params, **dict(zip(names, np.reshape(combos, (len(combos), len(names))).T))}
-    entries = (magnetic_phase_entries(grid["delta"]) if grid.get("delta") is not None
-               else transfer_entries(*(grid[key] for key in _ANGLE_KEYS)))
-    entries = np.broadcast_to(entries, (4, len(combos)))
-    overlap = np.abs(np.broadcast_to(grid["s"], len(combos)))
-    valid = (unitarity_defects(entries) <= UNITARITY_TOL) & (overlap <= 1.0 + OVERLAP_ROUNDING_TOL)
-    n, m, target = params["n"], params["m"], params["i"]
-    # the FockInput checks and the count range hold at every point or at none
-    if not (min(n, m) >= 0 and 0 <= target <= n + m <= MAX_TOTAL_PHOTONS):
-        valid[0] = False
-    checked = len(combos) if valid.all() else int(np.argmin(valid))
-    if checked:
-        probs, valid[:checked] = release_probabilities(n, m, entries[:, :checked], overlap[:checked])
-    if not valid.all():
-        row = int(np.argmin(valid))
-        where = ", ".join(f"{name}={float(value)!r}" for name, value in zip(names, combos[row]))
+    axes = [coords.ravel() for coords in np.meshgrid(*(axis.values() for axis in config.sweep), indexing="ij")]
+    size = axes[0].size if axes else 1
+    grid = {**config.params, **dict(zip(names, axes))}
+    entries = np.broadcast_to(
+        magnetic_phase_entries(grid["delta"]) if grid.get("delta") is not None
+        else transfer_entries(*(grid.get(key, 0.0) for key in _ANGLE_KEYS)), (4, size))
+    with np.errstate(all="ignore"):
+        columns, passed = kind.kernel(grid, entries)
+    values = np.empty((size, len(kind.columns)))
+    for k, column in enumerate(columns):
+        values[:, k] = column
+    passed = passed & (unitarity_defects(entries) <= UNITARITY_TOL) & np.isfinite(values).all(axis=1)
+    if not passed.all():
+        row = int(np.argmin(passed))
+        point = {**config.params, **{name: float(axis[row]) for name, axis in zip(names, axes)}}
+        where = ", ".join(f"{name}={point[name]!r}" for name in names)
         try:
-            _evaluate_point("fock-distribution", _point(params, names, combos[row]))
+            kind.point(point)
         except SimulationError as exc:
             exc.args = (f"{exc} at {where}",) if where else exc.args
             raise
         raise InternalConsistencyError(f"sweep and single-point routes disagree at {where}")
-    return np.clip(probs[:, target], 0.0, 1.0).tolist()
+    rows = np.column_stack([*axes, values]).tolist()
+    return Dataset(columns=tuple(names) + kind.columns, rows=list(map(tuple, rows)))
 
 
 def run_single(config: ExperimentConfig) -> Dataset:
-    """One-shot evaluation.  For the count distribution without an explicit
-    target the full distribution is returned, one row per count."""
+    """One-shot evaluation through the single-point route.  For the count
+    distribution without an explicit target the full distribution is
+    returned, one row per count."""
     if config.sweep:
         raise ExperimentConfigError("run_single does not accept sweep axes")
     if config.kind == "fock-distribution" and "i" not in config.provided:
         distribution = _fock_distribution(config.params)
         rows = [(i, distribution[i]) for i in range(len(distribution))]
         return Dataset(columns=("i", "probability"), rows=rows)
-    values = _evaluate_point(config.kind, config.params)
-    return Dataset(columns=_VALUE_COLUMNS[config.kind], rows=[tuple(values)])
+    kind = _KINDS[config.kind]
+    return Dataset(columns=kind.columns, rows=[tuple(kind.point(config.params))])
 
 
 # ----------------------------------------------------------------------
@@ -538,7 +540,7 @@ def _build_parser() -> _Parser:
                        help="accepted for compatibility, no effect: evaluation is serial")
 
     single = sub.add_parser("eval", help="evaluate a single parameter point")
-    single.add_argument("--kind", required=True, help=f"one of {sorted(_SCHEMAS)}")
+    single.add_argument("--kind", required=True, help=f"one of {sorted(_KINDS)}")
     single.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="parameter assignment; repeatable")
     single.add_argument("--out", default=None, help="output CSV path (default stdout)")

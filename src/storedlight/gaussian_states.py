@@ -13,7 +13,9 @@ transfer-matrix row of the observed channel.
 Two independent computation routes are provided: closed-form first and second
 moments obtained through the eigenvalue property, and a Gaussian oracle that
 propagates the 4x4 quadrature covariance matrix through the symplectic image
-of the transfer matrix.
+of the transfer matrix.  The closed form is one array kernel,
+quadrature_moments, over the transfer rows of P points; released_quadratures
+is that kernel at one point.
 """
 
 from __future__ import annotations
@@ -90,52 +92,91 @@ class QuadratureStats:
             )
 
 
-def _released_weights(row: tuple[complex, complex], r1: float, r2: float,
-                      quadrature: str) -> tuple[complex, complex]:
-    """Coefficients u_j of A_j in the observed released quadrature."""
-    factor = 1.0 if quadrature == "q" else -1j
-    c1, c2 = factor * row[0], factor * row[1]
-    u1 = c1 * math.cosh(r1) - c1.conjugate() * math.sinh(r1)
-    u2 = c2 * math.cosh(r2) - c2.conjugate() * math.sinh(r2)
-    return u1, u2
+def cosh_sinh(r):
+    """math.cosh and math.sinh at a number or at each entry of an array, as
+    two arrays, infinite where math overflows.  numpy's cosh and sinh differ
+    from math's in the last bit on about a quarter of inputs."""
+    pairs = []
+    for x in np.ravel(r).tolist():
+        try:
+            pairs.append((math.cosh(x), math.sinh(x)))
+        except OverflowError:
+            pairs.append((math.inf, math.copysign(math.inf, x)))
+    return np.reshape(pairs, (-1, 2)).T.reshape(2, *np.shape(r))
 
 
-def _moments(u1: complex, u2: complex, a1: complex, a2: complex) -> tuple[float, float]:
-    """Mean and second moment of (u1 A1 + u2 A2 + h.c.)/sqrt(2) on the
-    product of A_j eigenstates with eigenvalues a_j."""
-    mean = math.sqrt(2.0) * (u1 * a1 + u2 * a2).real
-    second = 0.5 * (abs(u1) ** 2 * (1.0 + 2.0 * abs(a1) ** 2)
-                    + abs(u2) ** 2 * (1.0 + 2.0 * abs(a2) ** 2))
-    second += (u1 * u1 * a1 * a1 + u2 * u2 * a2 * a2
-               + 2.0 * u1 * u2 * a1 * a2
-               + 2.0 * u1 * u2.conjugate() * a1 * a2.conjugate()).real
-    return mean, second
+def _product(a, b):
+    """CPython's complex product on (real, imaginary) pairs of numbers or
+    arrays.  numpy's complex product fuses multiply-adds, so it would round
+    some points differently from a scalar evaluation."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _square(x):
+    # float_power rounds like Python's x ** 2; np.power and x * x do not
+    return np.float_power(x, 2.0)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def quadrature_moments(row, r1, r2, alpha1, alpha2) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form moments of the released channel whose transfer-matrix row
+    is (S_c1, S_c2), at P points: row is a (2, P) complex array, r1 and r2
+    numbers or (P,) arrays, alpha1 and alpha2 (real, imaginary) pairs of them.
+
+    Input A_j enters the released quadrature with weight
+    u_j = c_j cosh r_j - c_j* sinh r_j, c_j = S_cj for q and -i S_cj for p.
+    The variance comes out as second moment minus squared mean; the
+    displacement dependence cancels there exactly, which the tests use as a
+    numerical guard.  Returns the (4, P) array of mean_q, mean_p, var_q,
+    var_p and the (P,) mask of points where all four are finite and pass
+    QuadratureStats' positivity and HEISENBERG_SLACK checks.
+    """
+    row = np.asarray(row, dtype=complex)
+    hyperbolic = [cosh_sinh(r1), cosh_sinh(r2)]
+    moments = []
+    for factor in ((1.0, 0.0), (-0.0, -1.0)):   # 1 for q, -1j for p
+        u1, u2 = [], []
+        for u, entry, (cosh, sinh) in zip((u1, u2), row, hyperbolic):
+            c = _product(factor, (entry.real, entry.imag))
+            plain, mirrored = _product(c, (cosh, 0.0)), _product((c[0], -c[1]), (sinh, 0.0))
+            u.extend((plain[0] - mirrored[0], plain[1] - mirrored[1]))
+        mean = math.sqrt(2.0) * (_product(u1, alpha1)[0] + _product(u2, alpha2)[0])
+        second = 0.5 * (_square(np.hypot(*u1)) * (1.0 + 2.0 * _square(np.hypot(*alpha1)))
+                        + _square(np.hypot(*u2)) * (1.0 + 2.0 * _square(np.hypot(*alpha2))))
+        twice_u1 = _product((2.0, 0.0), u1)
+        terms = (_product(_product(_product(u1, u1), alpha1), alpha1),
+                 _product(_product(_product(u2, u2), alpha2), alpha2),
+                 _product(_product(_product(twice_u1, u2), alpha1), alpha2),
+                 _product(_product(_product(twice_u1, (u2[0], -u2[1])), alpha1),
+                          (alpha2[0], -alpha2[1])))
+        second = second + (terms[0][0] + terms[1][0] + terms[2][0] + terms[3][0])
+        moments += [mean, second - _square(mean)]
+    mean_q, var_q, mean_p, var_p = np.broadcast_arrays(*moments)
+    moments = np.array([mean_q, mean_p, var_q, var_p])
+    passed = (np.isfinite(moments).all(axis=0) & (var_q > 0) & (var_p > 0)
+              & (var_q * var_p >= 0.25 - HEISENBERG_SLACK))
+    return moments, passed
 
 
 def released_quadratures(inputs: SqueezedInput, transfer: TransferMatrix,
                          channel: int = 1) -> QuadratureStats:
-    """Closed-form quadrature moments of one released channel.
-
-    The variance comes out as second moment minus squared mean; the
-    displacement dependence cancels there exactly, which the tests use as a
-    numerical guard.
-    """
-    row = transfer.row(channel)
-    uq1, uq2 = _released_weights(row, inputs.r1, inputs.r2, "q")
-    up1, up2 = _released_weights(row, inputs.r1, inputs.r2, "p")
-    mean_q, second_q = _moments(uq1, uq2, inputs.alpha1, inputs.alpha2)
-    mean_p, second_p = _moments(up1, up2, inputs.alpha1, inputs.alpha2)
-    return QuadratureStats(
-        mean_q=mean_q,
-        mean_p=mean_p,
-        var_q=second_q - mean_q ** 2,
-        var_p=second_p - mean_p ** 2,
-    )
+    """Closed-form quadrature moments of one released channel:
+    quadrature_moments at one point."""
+    alpha1, alpha2 = inputs.alpha1, inputs.alpha2
+    moments, _ = quadrature_moments(np.reshape(transfer.row(channel), (2, 1)), inputs.r1, inputs.r2,
+                                    (alpha1.real, alpha1.imag), (alpha2.real, alpha2.imag))
+    if not np.isfinite(moments).all():
+        raise ParameterDomainError(f"released quadrature moments of {inputs!r} overflow")
+    return QuadratureStats(*moments[:, 0])
 
 
 def uncertainty_product(stats: QuadratureStats) -> float:
     """var_q times var_p; 1/4 exactly for an unmixed minimal state."""
-    return stats.var_q * stats.var_p
+    product = stats.var_q * stats.var_p
+    if not math.isfinite(product):
+        raise ParameterDomainError(
+            f"uncertainty product of var_q={stats.var_q!r} and var_p={stats.var_p!r} overflows")
+    return product
 
 
 # ----------------------------------------------------------------------

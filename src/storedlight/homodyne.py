@@ -14,7 +14,9 @@ where it makes the control and probe phases add.
 
 The closed forms (balanced, classical probe; general mixing with all control
 phases zero) are checked against truncated Fock-space oracles that build the
-two-mode state and the difference operator explicitly.
+two-mode state and the difference operator explicitly.  The general-mixing
+form is one array kernel, count_difference_variance, over P points;
+general_variance is that kernel at one point.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ParameterDomainError
+from .gaussian_states import cosh_sinh
 from .mode_transform import StageAngles, TransferMatrix, build_transfer_matrix
 
 PROBE_QUANTUM = "quantum"
@@ -100,7 +103,7 @@ def balanced_variance(r1: float, alpha2_mod: float, gamma: float, chi21: float) 
 
 def general_variance(config: HomodyneConfig) -> float:
     """Count-difference variance at arbitrary mixing angles with every control
-    phase zero.
+    phase zero: count_difference_variance at one point.
 
     W = cos^2(2 dphi) (sinh^2(2 r1)/2 + |alpha2|^2)
       + sin^2(2 dphi) [|alpha2|^2 (cosh 2 r1 - sinh 2 r1 cos 2 gamma) + sinh^2 r1]
@@ -116,14 +119,32 @@ def general_variance(config: HomodyneConfig) -> float:
                 "the general variance form holds only with all control phases zero; "
                 f"got chi2={stage.chi2!r}, chi3={stage.chi3!r}"
             )
-    two_dphi = 2.0 * (config.release.phi - config.storage.phi)
-    a_sq = config.alpha2_mod ** 2
-    direct = 0.5 * math.sinh(2.0 * config.r1) ** 2 + a_sq
-    cross = a_sq * (math.cosh(2.0 * config.r1)
-                    - math.sinh(2.0 * config.r1) * math.cos(2.0 * config.gamma))
-    if config.probe_treatment == PROBE_QUANTUM:
-        cross += math.sinh(config.r1) ** 2
-    return math.cos(two_dphi) ** 2 * direct + math.sin(two_dphi) ** 2 * cross
+    variance, _ = count_difference_variance(config.r1, config.alpha2_mod, config.gamma,
+                                            config.release.phi - config.storage.phi,
+                                            config.probe_treatment)
+    if not math.isfinite(variance[0]):
+        raise ParameterDomainError(f"count-difference variance of {config!r} is not finite")
+    return float(variance[0])
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def count_difference_variance(r1, alpha2_mod, gamma, dphi,
+                              probe_treatment: str = PROBE_QUANTUM) -> tuple[np.ndarray, np.ndarray]:
+    """general_variance's W at P points, dphi being the release-minus-storage
+    mixing angle and every argument but the probe treatment a number or a
+    (P,) array.  Returns the (P,) variances and the mask of points with
+    alpha2_mod >= 0 and a finite W.  cosh and sinh are math's and squares
+    float_power's, so each point rounds as one evaluation with math would."""
+    cosh_2r, sinh_2r = cosh_sinh(2.0 * np.asarray(r1, dtype=float))
+    two_dphi = 2.0 * np.asarray(dphi, dtype=float)
+    a_sq = np.float_power(alpha2_mod, 2.0)
+    direct = 0.5 * np.float_power(sinh_2r, 2.0) + a_sq
+    cross = a_sq * (cosh_2r - sinh_2r * np.cos(2.0 * np.asarray(gamma, dtype=float)))
+    if probe_treatment == PROBE_QUANTUM:
+        cross = cross + np.float_power(cosh_sinh(r1)[1], 2.0)
+    variance = np.atleast_1d(np.float_power(np.cos(two_dphi), 2.0) * direct
+                             + np.float_power(np.sin(two_dphi), 2.0) * cross)
+    return variance, np.isfinite(variance) & (np.asarray(alpha2_mod) >= 0)
 
 
 def _squeezed_vacuum_coefficients(r: float, count: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -28,6 +29,7 @@ from storedlight import (
     release_variance,
 )
 from storedlight.cli import (
+    Dataset,
     ExperimentConfig,
     apply_overrides,
     main,
@@ -40,6 +42,26 @@ from storedlight.cli import (
 
 def float_bits(value):
     return struct.pack("<d", value)
+
+
+def assert_sweep_is_the_single_point_route(kind, params, sweep):
+    """The sweep's rows are run_single's values bit for bit, or the sweep
+    raises the first failing point's own error with the point appended."""
+    config = ExperimentConfig.from_mapping({"kind": kind, "params": params, "sweep": sweep})
+    expected = []
+    for combo in itertools.product(*(axis.values() for axis in config.sweep)):
+        point = {**params, **{name: float(v) for name, v in zip(sweep, combo)}}
+        try:
+            dataset = run_single(ExperimentConfig.from_mapping({"kind": kind, "params": point}))
+        except SimulationError as exc:
+            with pytest.raises(type(exc)) as raised:
+                run_experiment(config)
+            where = ", ".join(f"{name}={float(v)!r}" for name, v in zip(sweep, combo))
+            assert str(raised.value) == f"{exc} at {where}"
+            return
+        expected.append(tuple(combo) + dataset.rows[0])
+    got = run_experiment(config).rows
+    assert [tuple(map(float_bits, row)) for row in got] == [tuple(map(float_bits, row)) for row in expected]
 
 
 @st.composite
@@ -213,6 +235,26 @@ class TestExperimentConfig:
                 "sweep": {"n": {"start": 0, "stop": 4, "count": 5}},
             })
 
+    def test_required_parameter_may_be_a_sweep_axis(self):
+        config = ExperimentConfig.from_mapping({
+            "kind": "homodyne",
+            "sweep": {"alpha2_mod": {"start": 0, "stop": 2, "count": 3}},
+        })
+        assert run_experiment(config).column("alpha2_mod").tolist() == [0.0, 1.0, 2.0]
+
+    def test_integers_reject_underscores(self, tmp_path, capsys):
+        assert main(["eval", "--kind", "fock-distribution", "--set", "n=1_0", "--set", "m=1",
+                     "--set", "delta=pi/3"]) == 2
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({
+            "kind": "fock-distribution", "params": {"n": 1, "m": 1},
+            "sweep": {"delta": {"start": 0, "stop": 1, "count": "1_0"}},
+        }))
+        assert main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "a.csv")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith("error: ExperimentConfigError:") for line in err)
+        assert not (tmp_path / "a.csv").exists()
+
     def test_axis_needs_all_three_fields(self):
         with pytest.raises(ExperimentConfigError):
             ExperimentConfig.from_mapping({
@@ -264,23 +306,33 @@ class TestRunners:
         if overlap_axis:
             # across |s| = 1 - UNIT_OVERLAP_TOL, where the route switches
             sweep["s"] = {"start": 1 - 3e-8, "stop": 1.0, "count": 4}
-        config = ExperimentConfig.from_mapping({"kind": "fock-distribution", "params": params,
-                                                "sweep": sweep})
-        expected = []
-        for combo in itertools.product(*(axis.values() for axis in config.sweep)):
-            point = {**params, **{name: float(v) for name, v in zip(sweep, combo)}}
-            try:
-                dataset = run_single(ExperimentConfig.from_mapping(
-                    {"kind": "fock-distribution", "params": point}))
-            except SimulationError as exc:
-                with pytest.raises(type(exc)) as raised:
-                    run_experiment(config)
-                where = ", ".join(f"{name}={float(v)!r}" for name, v in zip(sweep, combo))
-                assert str(raised.value) == f"{exc} at {where}"
-                return
-            expected.append(tuple(combo) + dataset.rows[0])
-        got = run_experiment(config).rows
-        assert [tuple(map(float_bits, row)) for row in got] == [tuple(map(float_bits, row)) for row in expected]
+        assert_sweep_is_the_single_point_route("fock-distribution", params, sweep)
+
+    @given(kind=st.sampled_from(["quadratures", "uncertainty-product", "homodyne"]),
+           axes=st.lists(st.sampled_from(["r1", "r2", "alpha", "angle"]), min_size=1, max_size=2,
+                         unique=True),
+           count=st.integers(1, 6), values=st.lists(st.floats(-3, 3), min_size=8, max_size=8),
+           stop=st.floats(-3, 3) | st.floats(-800, 800))
+    @example(kind="uncertainty-product", axes=["r1", "r2"], count=4, values=[0.5] * 8, stop=-300.0)
+    # no mixing (phi1 = phi0 = 0.4): var_q loses its digits and fails positivity at r1 = 20
+    @example(kind="quadratures", axes=["r1"], count=5, values=[0.0, -0.0] * 3 + [0.4, 0.0], stop=40.0)
+    @example(kind="homodyne", axes=["alpha", "r1"], count=3, values=[-0.0, 0.3] * 4, stop=400.0)
+    @settings(max_examples=60, deadline=None)
+    def test_other_kinds_sweep_is_the_single_point_route_cell_for_cell(self, kind, axes, count,
+                                                                       values, stop):
+        # every parameter takes a drawn value and each axis runs from one to
+        # `stop`, so squeezing axes may overflow and alpha2_mod turn negative
+        if kind == "homodyne":
+            names = {"r1": "r1", "r2": "gamma", "alpha": "alpha2_mod", "angle": "phi1"}
+            params = dict(zip(["r1", "gamma", "phi0", "phi1", "alpha2_mod"], values))
+            params["alpha2_mod"] = abs(params["alpha2_mod"])
+        else:
+            names = {"r1": "r1", "r2": "r2", "alpha": "alpha1_im", "angle": "chi21"}
+            params = dict(zip(["r1", "r2", "alpha1_re", "alpha1_im", "alpha2_re", "alpha2_im",
+                               "phi1", "chi21"], values), phi0=0.4)
+        sweep = {names[axis]: {"start": params[names[axis]], "stop": stop, "count": count}
+                 for axis in axes}
+        assert_sweep_is_the_single_point_route(kind, params, sweep)
 
     def test_failing_sweep_names_the_first_failing_point(self, monkeypatch):
         # the kernel overshoots normalisation where |S11| = |cos(delta/2)| < 1/2
@@ -296,6 +348,18 @@ class TestRunners:
         with pytest.raises(InternalConsistencyError) as raised:
             run_experiment(config)
         assert str(raised.value).endswith(f"(unit-overlap closed form) at delta={float(first)!r}")
+
+    def test_failing_sweep_of_any_kind_names_its_point(self):
+        config = ExperimentConfig.from_mapping({
+            "kind": "homodyne",
+            "params": {"r1": 0.3},
+            "sweep": {"gamma": {"start": 0, "stop": 1, "count": 2},
+                      "alpha2_mod": {"start": 1, "stop": -1, "count": 4}},
+        })
+        first = float(np.linspace(1, -1, 4)[2])
+        with pytest.raises(ParameterDomainError) as raised:
+            run_experiment(config)
+        assert str(raised.value) == f"alpha2_mod must be >= 0, got {first!r} at gamma=0.0, alpha2_mod={first!r}"
 
     def test_sweep_errors_keep_their_type(self):
         for params, error in (({"n": 40, "m": 40}, CapacityError),
@@ -354,6 +418,16 @@ def _single_point_succeeds(n, m, delta):
     except InternalConsistencyError:
         return False
     return True
+
+
+class TestDataset:
+    def test_csv_cells(self):
+        dataset = Dataset(columns=("i", "x"), rows=[
+            (0, -0.0), (64, 5e-324), (3, 1.7976931348623157e308), (1, 1 / 3), (2, -2.5e-300),
+            (5, 123456789012345.0), (6, 1e16)])
+        assert dataset.to_csv_text() == (
+            "i,x\n0,-0\n64,4.94065645841e-324\n3,1.79769313486e+308\n1,0.333333333333\n"
+            "2,-2.5e-300\n5,1.23456789012e+14\n6,1e+16\n")
 
 
 class TestMainEntry:
@@ -430,6 +504,44 @@ class TestMainEntry:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 2
         assert 0.0 < float(lines[1]) < 1.0
+
+    @pytest.mark.parametrize("kind,settings,error", [
+        ("quadratures", ["r1=1000"], "ParameterDomainError: released quadrature moments of "
+                                     "SqueezedInput(alpha1=0j, alpha2=0j, r1=1000.0, r2=0.0) overflow"),
+        ("homodyne", ["r1=400", "alpha2_mod=1", "phi1=0.3"],
+         "ParameterDomainError: count-difference variance of HomodyneConfig(r1=400.0, alpha2_mod=1.0,"),
+        ("uncertainty-product", ["r1=300", "r2=-300", "phi1=0.7"],
+         "ParameterDomainError: uncertainty product of var_q="),
+    ])
+    def test_overflow_is_a_one_line_error(self, kind, settings, error, tmp_path, capsys):
+        sets = [arg for setting in settings for arg in ("--set", setting)]
+        assert main(["eval", "--kind", kind, *sets]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {error}") and len(captured.err.splitlines()) == 1
+        # the same point as the last of a sweep: its error, with the point appended
+        name, value = settings[0].split("=")
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({
+            "kind": kind, "params": dict(setting.split("=") for setting in settings[1:]),
+            "sweep": {name: {"start": 0, "stop": value, "count": 2}},
+        }))
+        assert main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "a.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}") and len(err.splitlines()) == 1
+        assert err.rstrip().endswith(f" at {name}={float(value)!r}")
+
+    @pytest.mark.parametrize("figure,digest", [
+        (1, "25b6664ee04cd24de6a1608070e54496a024eb90b29af4ecd6fbdbd16c6e953b"),
+        (2, "5437ef25ed1199febb34141114cd010d7a9664463abd7e266b4ffd0add4be481"),
+        (3, "e106c8698ca74b0b44cd852e92449d9aed2dff5d3578ba1ca7d22e0889c926b2"),
+        (4, "47563d4156a137778bc293817e6e00dfa45dfc15e3de7f3405f1171e8076b4ed"),
+        (5, "aa9d14a99412179c6c61ef329876b6c208da61107de4ae5d65c07c5685a9b4ba"),
+    ])
+    def test_figure_digests(self, figure, digest, tmp_path):
+        out = tmp_path / "fig.csv"
+        assert main(["figure", "--id", str(figure), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_import_does_not_load_scipy(self):
         env = dict(os.environ)

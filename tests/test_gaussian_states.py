@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from storedlight import (
 )
 from storedlight.gaussian_states import (
     VACUUM_VARIANCE,
+    cosh_sinh,
+    quadrature_moments,
     squeezed_covariance_block,
     symplectic_eigenvalues,
     transfer_symplectic,
@@ -77,6 +81,77 @@ class TestReleasedQuadratures:
             inputs = SqueezedInput(0, 0, rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
             stats = released_quadratures(inputs, random_transfer(rng))
             assert uncertainty_product(stats) >= 0.25 - 1e-12
+
+
+def scalar_moments(inputs, transfer):
+    """The closed form as one scalar evaluation with Python complex numbers
+    and math, the reference the kernel must round like."""
+    moments = []
+    for factor in (1.0, -1j):
+        c1, c2 = factor * transfer.s11, factor * transfer.s12
+        u1 = c1 * math.cosh(inputs.r1) - c1.conjugate() * math.sinh(inputs.r1)
+        u2 = c2 * math.cosh(inputs.r2) - c2.conjugate() * math.sinh(inputs.r2)
+        a1, a2 = inputs.alpha1, inputs.alpha2
+        mean = math.sqrt(2.0) * (u1 * a1 + u2 * a2).real
+        second = 0.5 * (abs(u1) ** 2 * (1.0 + 2.0 * abs(a1) ** 2)
+                        + abs(u2) ** 2 * (1.0 + 2.0 * abs(a2) ** 2))
+        second += (u1 * u1 * a1 * a1 + u2 * u2 * a2 * a2 + 2.0 * u1 * u2 * a1 * a2
+                   + 2.0 * u1 * u2.conjugate() * a1 * a2.conjugate()).real
+        moments += [mean, second - mean ** 2]
+    return np.array([moments[0], moments[2], moments[1], moments[3]])
+
+
+class TestGridKernel:
+    def test_rounds_like_the_scalar_closed_form(self, rng):
+        # displaced inputs and zero parts of either sign, where numpy's fused
+        # complex products would move 12-digit cells
+        for _ in range(2000):
+            parts = np.where(rng.random(4) < 0.2, rng.choice([0.0, -0.0], 4), rng.normal(0, 2, 4))
+            inputs = SqueezedInput(complex(*parts[:2]), complex(*parts[2:]), *rng.normal(0, 1, 2))
+            transfer = IDENTITY if rng.random() < 0.1 else random_transfer(rng)
+            assert (stats_tuple(released_quadratures(inputs, transfer)).tobytes()
+                    == scalar_moments(inputs, transfer).tobytes())
+
+    def test_rows_are_the_single_point_moments(self, rng):
+        # bit for bit, signed zeros included, at any number of points
+        transfers = [random_transfer(rng) for _ in range(300)]
+        row = np.array([[t.s11 for t in transfers], [t.s12 for t in transfers]])
+        r1, r2 = rng.uniform(-1.5, 1.5, (2, 300))
+        alpha1 = rng.normal(0, 1.5, (2, 300))
+        alpha2 = np.where(rng.random((2, 300)) < 0.3, -0.0, rng.normal(0, 1.5, (2, 300)))
+        moments, passed = quadrature_moments(row, r1, r2, tuple(alpha1), tuple(alpha2))
+        assert passed.all()
+        for k, transfer in enumerate(transfers):
+            inputs = SqueezedInput(complex(*alpha1[:, k]), complex(*alpha2[:, k]), r1[k], r2[k])
+            assert moments[:, k].tobytes() == stats_tuple(released_quadratures(inputs, transfer)).tobytes()
+
+    def test_mask_rejects_overflow_and_the_guards(self):
+        moments, passed = quadrature_moments(np.array([[1.0] * 4, [0.0] * 4]),
+                                             np.array([0.2, 1000.0, 40.0, 18.0]), 0.0, (0.0, 0.0),
+                                             (0.0, 0.0))
+        # cosh r - sinh r loses its digits as r grows: var_q reads 0 at r1 = 40,
+        # and at r1 = 18 it is positive but breaks the Heisenberg bound
+        assert passed.tolist() == [True, False, False, False]
+        assert not np.isfinite(moments[:, 1]).all() and moments[2, 2] == 0.0
+        assert moments[2, 3] > 0 and moments[2, 3] * moments[3, 3] < 0.25 - 1e-12
+
+    def test_overflow_is_a_domain_error(self):
+        with pytest.raises(ParameterDomainError, match="overflow"):
+            released_quadratures(SqueezedInput(0, 0, 1000.0, 0.0), IDENTITY)
+        stats = released_quadratures(SqueezedInput(0, 0, 300.0, -300.0), build_transfer_matrix(
+            StageAngles(0, 0, 0), StageAngles(0.7, 0, 0)))
+        with pytest.raises(ParameterDomainError, match="overflows"):
+            uncertainty_product(stats)
+
+    def test_hyperbolic_functions_are_maths(self, rng):
+        r = np.concatenate([rng.normal(0, 3, 1000), [0.0, -0.0, 710.0, 711.0, -711.0]])
+        cosh, sinh = cosh_sinh(r)
+        assert cosh.shape == sinh.shape == r.shape
+        with np.errstate(over="ignore"):
+            expected = [(math.cosh(x), math.sinh(x)) if abs(x) < 711 else (np.cosh(x), np.sinh(x))
+                        for x in r.tolist()]
+        assert np.array(expected).T.tobytes() == np.array([cosh, sinh]).tobytes()
+        assert [float(x) for x in cosh_sinh(0.5)] == [math.cosh(0.5), math.sinh(0.5)]
 
 
 class TestValidation:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from storedlight import (
     general_variance,
     homodyne_oracle,
 )
+from storedlight.homodyne import count_difference_variance
 
 BALANCED_STORAGE = StageAngles(0.0, 0.0, 0.0)
 
@@ -82,6 +85,41 @@ class TestGeneralVariance:
                                 StageAngles(0.5, 0.0, 0.0))
         with pytest.raises(ParameterDomainError):
             general_variance(config)
+
+
+class TestGridKernel:
+    def test_rounds_like_the_scalar_closed_form(self, rng):
+        for _ in range(2000):
+            r1, gamma, phi0, phi1 = rng.normal(0, 2, 4)
+            amp = abs(rng.normal(0, 5))
+            probe = (PROBE_QUANTUM, PROBE_CLASSICAL)[int(rng.integers(2))]
+            two_dphi = 2.0 * (phi1 - phi0)
+            direct = 0.5 * math.sinh(2.0 * r1) ** 2 + amp ** 2
+            cross = amp ** 2 * (math.cosh(2.0 * r1) - math.sinh(2.0 * r1) * math.cos(2.0 * gamma))
+            cross += math.sinh(r1) ** 2 if probe == PROBE_QUANTUM else 0.0
+            expected = math.cos(two_dphi) ** 2 * direct + math.sin(two_dphi) ** 2 * cross
+            got = general_variance(plain_config(r1, amp, gamma, phi0, phi1, probe=probe))
+            assert got.hex() == expected.hex()
+
+    @pytest.mark.parametrize("probe", [PROBE_QUANTUM, PROBE_CLASSICAL])
+    def test_rows_are_the_single_point_variances(self, rng, probe):
+        r1, amp = rng.uniform(-1.5, 1.5, 300), rng.uniform(0, 5, 300)
+        gamma, phi0, phi1 = rng.uniform(-7, 7, (3, 300))
+        variance, passed = count_difference_variance(r1, amp, gamma, phi1 - phi0, probe)
+        assert passed.all()
+        single = [general_variance(plain_config(*point, probe=probe))
+                  for point in zip(r1, amp, gamma, phi0, phi1)]
+        assert variance.tobytes() == np.array(single).tobytes()
+
+    def test_mask_and_overflow(self):
+        variance, passed = count_difference_variance(np.array([0.3, 400.0, 0.3]), np.array([1.0, 1.0, -1.0]),
+                                                     0.0, 0.3)
+        assert passed.tolist() == [True, False, False]
+        with pytest.raises(ParameterDomainError, match="not finite"):
+            general_variance(plain_config(400.0, 1.0, 0.0, 0.0, 0.3))
+        # 2 dphi overflows: math.cos raised ValueError here
+        with pytest.raises(ParameterDomainError, match="not finite"):
+            general_variance(plain_config(0.3, 1.0, 0.0, -1e308, 1e308))
 
 
 class TestHomodyneOracle:
