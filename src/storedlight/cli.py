@@ -117,6 +117,8 @@ class SweepAxis:
     def values(self) -> np.ndarray:
         if self.count < 1:
             raise ExperimentConfigError(f"axis {self.name!r} needs count >= 1, got {self.count}")
+        if not math.isfinite(self.stop - self.start):
+            raise ExperimentConfigError(f"axis {self.name!r} from {self.start!r} to {self.stop!r} is not finite")
         return np.linspace(self.start, self.stop, self.count)
 
 
@@ -393,21 +395,25 @@ _KINDS = {
 
 @dataclass
 class Dataset:
-    """Rows of a finished run, ready for CSV serialization."""
+    """A finished run as one (rows, columns) float array, ready for CSV."""
 
     columns: tuple
-    rows: list
+    values: np.ndarray
+
+    @property
+    def rows(self) -> list:
+        return list(map(tuple, self.values.tolist()))
 
     def to_csv_text(self) -> str:
-        template = ",".join([f"%.{SIGNIFICANT_DIGITS}g"] * len(self.columns))
-        return "\n".join([",".join(self.columns), *(template % row for row in self.rows)]) + "\n"
+        template = ",".join([f"%.{SIGNIFICANT_DIGITS}g"] * len(self.columns)) + "\n"
+        return ",".join(self.columns) + "\n" + template * len(self.values) % tuple(self.values.ravel().tolist())
 
     def write(self, path: str) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(self.to_csv_text())
 
     def column(self, name: str) -> np.ndarray:
-        return np.array([row[self.columns.index(name)] for row in self.rows])
+        return self.values[:, self.columns.index(name)]
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> Dataset:
@@ -431,10 +437,11 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> Dataset:
         else transfer_entries(*(grid.get(key, 0.0) for key in _ANGLE_KEYS)), (4, size))
     with np.errstate(all="ignore"):
         columns, passed = kind.kernel(grid, entries)
-    values = np.empty((size, len(kind.columns)))
-    for k, column in enumerate(columns):
+    values = np.empty((size, len(names) + len(kind.columns)))
+    for k, column in enumerate([*axes, *columns]):
         values[:, k] = column
-    passed = passed & (unitarity_defects(entries) <= UNITARITY_TOL) & np.isfinite(values).all(axis=1)
+    passed = (passed & (unitarity_defects(entries) <= UNITARITY_TOL)
+              & np.isfinite(values[:, len(names):]).all(axis=1))
     if not passed.all():
         row = int(np.argmin(passed))
         point = {**config.params, **{name: float(axis[row]) for name, axis in zip(names, axes)}}
@@ -445,8 +452,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> Dataset:
             exc.args = (f"{exc} at {where}",) if where else exc.args
             raise
         raise InternalConsistencyError(f"sweep and single-point routes disagree at {where}")
-    rows = np.column_stack([*axes, values]).tolist()
-    return Dataset(columns=tuple(names) + kind.columns, rows=list(map(tuple, rows)))
+    return Dataset(columns=tuple(names) + kind.columns, values=values)
 
 
 def run_single(config: ExperimentConfig) -> Dataset:
@@ -456,11 +462,10 @@ def run_single(config: ExperimentConfig) -> Dataset:
     if config.sweep:
         raise ExperimentConfigError("run_single does not accept sweep axes")
     if config.kind == "fock-distribution" and "i" not in config.provided:
-        distribution = _fock_distribution(config.params)
-        rows = [(i, distribution[i]) for i in range(len(distribution))]
-        return Dataset(columns=("i", "probability"), rows=rows)
+        probabilities = _fock_distribution(config.params).probabilities
+        return Dataset(("i", "probability"), np.column_stack((np.arange(probabilities.size), probabilities)))
     kind = _KINDS[config.kind]
-    return Dataset(columns=kind.columns, rows=[tuple(kind.point(config.params))])
+    return Dataset(columns=kind.columns, values=np.array([kind.point(config.params)], dtype=float))
 
 
 # ----------------------------------------------------------------------
@@ -505,11 +510,8 @@ def run_figure(figure_id: int, workers: int = 1) -> Dataset:
     mapping, keep = _FIGURES[figure_id]
     config = ExperimentConfig.from_mapping(json.loads(json.dumps(mapping)))
     dataset = run_experiment(config, workers=workers)
-    axis_names = tuple(axis.name for axis in config.sweep)
-    wanted = axis_names + keep
-    index = [dataset.columns.index(name) for name in wanted]
-    rows = [tuple(row[i] for i in index) for row in dataset.rows]
-    return Dataset(columns=wanted, rows=rows)
+    wanted = tuple(axis.name for axis in config.sweep) + keep
+    return Dataset(wanted, dataset.values[:, [dataset.columns.index(name) for name in wanted]])
 
 
 # ----------------------------------------------------------------------

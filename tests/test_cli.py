@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -263,6 +264,21 @@ class TestExperimentConfig:
                 "sweep": {"delta": {"start": 0, "count": 5}},
             })
 
+    @pytest.mark.parametrize("start,stop", [(0, "1e309"), ("-1e309", 1), ("-1e308", "1e308")])
+    def test_axis_values_must_be_finite(self, start, stop, tmp_path, capsys):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({
+            "kind": "fock-distribution", "params": {"n": 1, "m": 1, "i": 1},
+            "sweep": {"delta": {"start": start, "stop": stop, "count": 3}},
+        }))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "a.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ExperimentConfigError: axis 'delta' from ")
+        assert err.endswith(" is not finite\n") and len(err.splitlines()) == 1
+        assert not (tmp_path / "a.csv").exists()
+
 
 class TestRunners:
     def test_sweep_values(self):
@@ -422,9 +438,9 @@ def _single_point_succeeds(n, m, delta):
 
 class TestDataset:
     def test_csv_cells(self):
-        dataset = Dataset(columns=("i", "x"), rows=[
+        dataset = Dataset(columns=("i", "x"), values=np.array([
             (0, -0.0), (64, 5e-324), (3, 1.7976931348623157e308), (1, 1 / 3), (2, -2.5e-300),
-            (5, 123456789012345.0), (6, 1e16)])
+            (5, 123456789012345.0), (6, 1e16)]))
         assert dataset.to_csv_text() == (
             "i,x\n0,-0\n64,4.94065645841e-324\n3,1.79769313486e+308\n1,0.333333333333\n"
             "2,-2.5e-300\n5,1.23456789012e+14\n6,1e+16\n")
@@ -531,16 +547,49 @@ class TestMainEntry:
         assert err.startswith(f"error: {error}") and len(err.splitlines()) == 1
         assert err.rstrip().endswith(f" at {name}={float(value)!r}")
 
+    @pytest.mark.parametrize("r1,var_q", [("10", "1.03057681122e-09"), ("18", "1.15976141512e-16"),
+                                          ("40", "9.02425693923e-36")])
+    def test_strong_squeezing_keeps_its_digits(self, r1, var_q, capsys):
+        # var_q = e^(-2 r1)/2, rounded from 40-digit mpmath
+        assert main(["eval", "--kind", "quadratures", "--set", f"r1={r1}"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split(",")[2] == var_q
+
     @pytest.mark.parametrize("figure,digest", [
         (1, "25b6664ee04cd24de6a1608070e54496a024eb90b29af4ecd6fbdbd16c6e953b"),
-        (2, "5437ef25ed1199febb34141114cd010d7a9664463abd7e266b4ffd0add4be481"),
-        (3, "e106c8698ca74b0b44cd852e92449d9aed2dff5d3578ba1ca7d22e0889c926b2"),
+        (2, "3f36c57ecff0414292322d0d1fc5fc7cfc702a0b2d22bbba6080095671639b34"),
+        (3, "238b3861172fa7b41a29f67a67915524c16d3f0b6b62353097962728e1caf1e3"),
         (4, "47563d4156a137778bc293817e6e00dfa45dfc15e3de7f3405f1171e8076b4ed"),
         (5, "aa9d14a99412179c6c61ef329876b6c208da61107de4ae5d65c07c5685a9b4ba"),
     ])
     def test_figure_digests(self, figure, digest, tmp_path):
         out = tmp_path / "fig.csv"
         assert main(["figure", "--id", str(figure), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("command,digest", [
+        (["eval", "--kind", "fock-distribution", "--set", "n=32", "--set", "m=32", "--set", "delta=1.3"],
+         "16c1344ed716fe42e63075ddfbecbd15097471bb3f5a15989d5ee9ab6147db32"),
+        (["eval", "--kind", "fock-distribution", "--set", "n=32", "--set", "m=32", "--set", "delta=1.3",
+          "--set", "s=0.9"], "5e60e47f17a54e15020e0c722ed85ec992d864e75c9376d51d107fcb304ae702"),
+        (["sweep", "--set", "kind=quadratures", "--set", "r1=0.8", "--set", "r2=-0.3",
+          "--set", "alpha1_re=1.5", "--set", "alpha1_im=-0.5", "--set", "alpha2_re=-0.25",
+          "--set", "alpha2_im=2.0", "--set", "phi0=pi/5", "--set", "chi20=0.4",
+          "--set", "sweep.phi1.start=0", "--set", "sweep.phi1.stop=pi/2", "--set", "sweep.phi1.count=9",
+          "--set", "sweep.chi31.start=0", "--set", "sweep.chi31.stop=2*pi", "--set", "sweep.chi31.count=9"],
+         "bced83d40088461285244d7b15b0281caefe1080868f538a62c4a0bf963ebb95"),
+        (["sweep", "--set", "kind=homodyne", "--set", "r1=0.7", "--set", "phi0=pi/8", "--set", "probe=classical",
+          "--set", "sweep.alpha2_mod.start=0", "--set", "sweep.alpha2_mod.stop=10",
+          "--set", "sweep.alpha2_mod.count=6", "--set", "sweep.gamma.start=0",
+          "--set", "sweep.gamma.stop=2*pi", "--set", "sweep.gamma.count=13"],
+         "b88c612474d87741b59db4cad2d3192ec05519c74590ced38d1f1c3056f0fa60"),
+    ], ids=["eval-unit-overlap", "eval-partial-overlap", "quadratures-sweep", "homodyne-classical-sweep"])
+    def test_output_digests(self, command, digest, tmp_path):
+        out = tmp_path / "out.csv"
+        if command[0] == "sweep":
+            config = tmp_path / "run.json"
+            config.write_text("{}")
+            command = [*command, "--config", str(config)]
+        assert main([*command, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_import_does_not_load_scipy(self):

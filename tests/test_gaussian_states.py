@@ -89,15 +89,11 @@ def scalar_moments(inputs, transfer):
     moments = []
     for factor in (1.0, -1j):
         c1, c2 = factor * transfer.s11, factor * transfer.s12
-        u1 = c1 * math.cosh(inputs.r1) - c1.conjugate() * math.sinh(inputs.r1)
-        u2 = c2 * math.cosh(inputs.r2) - c2.conjugate() * math.sinh(inputs.r2)
-        a1, a2 = inputs.alpha1, inputs.alpha2
-        mean = math.sqrt(2.0) * (u1 * a1 + u2 * a2).real
-        second = 0.5 * (abs(u1) ** 2 * (1.0 + 2.0 * abs(a1) ** 2)
-                        + abs(u2) ** 2 * (1.0 + 2.0 * abs(a2) ** 2))
-        second += (u1 * u1 * a1 * a1 + u2 * u2 * a2 * a2 + 2.0 * u1 * u2 * a1 * a2
-                   + 2.0 * u1 * u2.conjugate() * a1 * a2.conjugate()).real
-        moments += [mean, second - mean ** 2]
+        u1 = complex(c1.real * math.exp(-inputs.r1), c1.imag * math.exp(inputs.r1))
+        u2 = complex(c2.real * math.exp(-inputs.r2), c2.imag * math.exp(inputs.r2))
+        mean = math.sqrt(2.0) * (u1 * inputs.alpha1 + u2 * inputs.alpha2).real
+        variance = 0.5 * ((u1.real * u1.real + u1.imag * u1.imag) + (u2.real * u2.real + u2.imag * u2.imag))
+        moments += [mean, variance]
     return np.array([moments[0], moments[2], moments[1], moments[3]])
 
 
@@ -126,14 +122,26 @@ class TestGridKernel:
             assert moments[:, k].tobytes() == stats_tuple(released_quadratures(inputs, transfer)).tobytes()
 
     def test_mask_rejects_overflow_and_the_guards(self):
-        moments, passed = quadrature_moments(np.array([[1.0] * 4, [0.0] * 4]),
-                                             np.array([0.2, 1000.0, 40.0, 18.0]), 0.0, (0.0, 0.0),
+        # rows 1-4 are the identity row at growing r1; row 5 is too short for
+        # the Heisenberg bound and row 6 zero
+        moments, passed = quadrature_moments(np.array([[1.0] * 4 + [0.5, 0.0], [0.0] * 6]),
+                                             np.array([0.2, 1000.0, 40.0, 18.0, 0.0, 0.0]), 0.0,
+                                             (0.0, 0.0), (0.0, 0.0))
+        assert passed.tolist() == [True, False, True, True, False, False]
+        assert not np.isfinite(moments[:, 1]).all()
+        assert moments[2:, 4].tolist() == [0.125, 0.125] and moments[2:, 5].tolist() == [0.0, 0.0]
+
+    def test_squeezing_keeps_its_digits(self):
+        # var_q = e^(-2 r)/2 and var_p = e^(2 r)/2 with no cosh - sinh to cancel:
+        # each is the rounded square of math.exp, halved exactly
+        r = np.array([10.0, 15.0, 18.0, 40.0, 300.0, -40.0])
+        moments, passed = quadrature_moments(np.array([[1.0] * 6, [0.0] * 6]), r, 0.0, (0.0, 0.0),
                                              (0.0, 0.0))
-        # cosh r - sinh r loses its digits as r grows: var_q reads 0 at r1 = 40,
-        # and at r1 = 18 it is positive but breaks the Heisenberg bound
-        assert passed.tolist() == [True, False, False, False]
-        assert not np.isfinite(moments[:, 1]).all() and moments[2, 2] == 0.0
-        assert moments[2, 3] > 0 and moments[2, 3] * moments[3, 3] < 0.25 - 1e-12
+        assert passed.all()
+        assert moments[2].tolist() == [0.5 * (math.exp(-x) * math.exp(-x)) for x in r.tolist()]
+        assert moments[3].tolist() == [0.5 * (math.exp(x) * math.exp(x)) for x in r.tolist()]
+        # e^(-20)/2 to 40 digits
+        assert abs(moments[2, 0] / 1.030576811219278913982970190077910488188e-09 - 1) < 4e-16
 
     def test_overflow_is_a_domain_error(self):
         with pytest.raises(ParameterDomainError, match="overflow"):
