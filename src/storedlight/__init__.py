@@ -27,6 +27,15 @@ from .fock_interference import (
     release_distribution_unit_overlap,
     release_variance,
 )
+from .fock_oracle import (
+    ModeBasis,
+    OccupationBasis,
+    TruncatedState,
+    build_fock_input,
+    oracle_distribution,
+    oracle_moments,
+    released_number_operator,
+)
 from .gaussian_states import (
     QuadratureStats,
     SqueezedInput,
@@ -53,27 +62,6 @@ from .mode_transform import (
 )
 
 __version__ = "0.1.0"
-
-# The Fock oracle needs scipy.sparse, which costs more to import than the rest
-# of the package together; its names are loaded on first access only.
-_FOCK_ORACLE_NAMES = frozenset({
-    "ModeBasis",
-    "OccupationBasis",
-    "TruncatedState",
-    "build_fock_input",
-    "oracle_distribution",
-    "oracle_moments",
-    "released_number_operator",
-})
-
-
-def __getattr__(name):
-    if name in _FOCK_ORACLE_NAMES:
-        from . import fock_oracle
-
-        return getattr(fock_oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "CapacityError",

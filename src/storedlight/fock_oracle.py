@@ -1,18 +1,18 @@
-"""Brute-force reference calculations in a truncated four-mode Fock space.
+"""Brute-force reference calculations in a four-mode Fock space.
 
 The two stored wave packets span a two-dimensional single-photon subspace.
 Choosing an orthonormal (Schmidt) pair e1, e2 with
 
     f1 = e1,          f2 = s e1 + sqrt(1 - |s|^2) e2,
 
-where s is the packet overlap, every packet operator becomes a fixed linear
-combination of four independent bosonic modes: two channels times two Schmidt
-components.  On a number-truncated basis all operators are finite matrices,
-so distributions and moments can be computed with no interference algebra at
-all and serve as an independent check of the closed forms.
-
-Everything that conserves total photon number is exact on the sectors whose
-total does not exceed the per-mode cutoff; results are only requested there.
+where s is the packet overlap, every packet operator becomes a 4-vector of
+coefficients over four independent bosonic modes (two channels times two
+Schmidt components), and a released photon-number operator the 4x4 one-body
+matrix h of sum_jk h_jk a_j^dag a_k.  Only the total-photon sector holding
+the input state is enumerated; h conserves the photon count of each Schmidt
+component, so that sector splits into blocks that are diagonalised densely
+one at a time.  No interference algebra enters, so the results serve as an
+independent check of the closed forms.
 """
 
 from __future__ import annotations
@@ -22,14 +22,12 @@ import math
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .errors import CapacityError, InternalConsistencyError, ParameterDomainError
 from .fock_interference import ReleaseDistribution
 from .mode_transform import GramMatrix, TransferMatrix
 
 DEFAULT_CUTOFF = 8
-MAX_DIMENSION = 2_000_000
 
 # Matrix representations must be Hermitian to this tolerance.
 HERMITICITY_TOL = 1e-12
@@ -45,77 +43,80 @@ EIGENVALUE_ROUND_TOL = 1e-6
 # singular and the exact unit-overlap reduction is used instead.
 _UNIT_OVERLAP_SWITCH = 1e-12
 
+# Schmidt component (0 or 1) of each of ModeBasis's four modes.
+_SCHMIDT = np.arange(4) % 2
+
 
 class OccupationBasis:
-    """Occupation-number basis for a few bosonic modes with a per-mode cutoff
-    and an optional cap on the total photon number."""
+    """Occupation-number states of a few bosonic modes that hold exactly
+    ``total`` photons, in lexicographic order; a ``cutoff`` drops the states
+    with more photons than that in one mode."""
 
-    def __init__(self, num_modes: int, cutoff: int, total_cutoff: Optional[int] = None,
-                 max_dimension: int = MAX_DIMENSION):
-        if num_modes < 1 or cutoff < 0:
-            raise ParameterDomainError("need num_modes >= 1 and cutoff >= 0")
-        bound = (cutoff + 1) ** num_modes
-        if bound > max_dimension and total_cutoff is None:
-            raise CapacityError(
-                f"basis would hold {bound} states, above the budget of {max_dimension}",
-                required=bound,
-            )
+    def __init__(self, num_modes: int, total: int, cutoff: Optional[int] = None):
+        if num_modes < 1 or total < 0 or (cutoff is not None and cutoff < 0):
+            raise ParameterDomainError("need num_modes >= 1, total >= 0 and cutoff >= 0")
         self.num_modes = num_modes
+        self.total = total
         self.cutoff = cutoff
-        self.total_cutoff = total_cutoff
-        occupations = itertools.product(range(cutoff + 1), repeat=num_modes)
-        if total_cutoff is not None:
-            occupations = (occ for occ in occupations if sum(occ) <= total_cutoff)
-        self.states = np.array(list(occupations), dtype=np.int64)
-        if self.states.shape[0] > max_dimension:
-            raise CapacityError(
-                f"basis holds {self.states.shape[0]} states, above the budget of {max_dimension}",
-                required=self.states.shape[0],
-            )
+        # stars and bars: the bar positions of each composition of total
+        bars = np.array(list(itertools.combinations(range(total + num_modes - 1), num_modes - 1)),
+                        dtype=np.int64)
+        states = np.diff(bars, axis=1, prepend=-1, append=total + num_modes - 1) - 1
+        self.states = states if cutoff is None else states[(states <= cutoff).all(axis=1)]
         self.dim = self.states.shape[0]
-        # mixed-radix code of each state, for O(1) neighbor lookup
-        self._strides = (cutoff + 1) ** np.arange(num_modes, dtype=np.int64)
-        codes = self.states @ self._strides
-        self._row_of_code = np.full(bound, -1, dtype=np.int64)
-        self._row_of_code[codes] = np.arange(self.dim)
-        self._codes = codes
-        self._totals = self.states.sum(axis=1)
-        self._ann_cache: dict[int, sparse.csr_matrix] = {}
+        # big-endian codes in base total + 1 rise in lexicographic order
+        self._strides = (total + 1) ** np.arange(num_modes - 1, -1, -1, dtype=np.int64)
+        self._codes = self.states @ self._strides
 
-    def index_of(self, occupation) -> int:
-        occupation = tuple(int(x) for x in occupation)
-        code = int(np.dot(occupation, self._strides))
-        row = int(self._row_of_code[code]) if 0 <= code < self._row_of_code.size else -1
-        if row < 0 or tuple(self.states[row]) != occupation:
-            raise ParameterDomainError(f"occupation {occupation} is not in the basis")
-        return row
-
-    @property
-    def vacuum_index(self) -> int:
-        return self.index_of((0,) * self.num_modes)
-
-    def annihilation_matrix(self, mode: int) -> sparse.csr_matrix:
-        """Sparse matrix of the annihilation operator of one mode."""
-        if not 0 <= mode < self.num_modes:
-            raise ParameterDomainError(f"mode index {mode} out of range")
-        cached = self._ann_cache.get(mode)
-        if cached is not None:
-            return cached
-        occ = self.states[:, mode]
-        src = np.nonzero(occ > 0)[0]
-        # removing a photon lowers the total, so the image state always exists
-        dst = self._row_of_code[self._codes[src] - self._strides[mode]]
-        data = np.sqrt(occ[src].astype(float))
-        mat = sparse.csr_matrix((data, (dst, src)), shape=(self.dim, self.dim), dtype=complex)
-        self._ann_cache[mode] = mat
-        return mat
-
-    def creation_matrix(self, mode: int) -> sparse.csr_matrix:
-        return self.annihilation_matrix(mode).conj().T.tocsr()
+    def rows_of(self, occupations) -> np.ndarray:
+        """Rows of the given occupations, one per row of the (K, num_modes) array."""
+        occupations = np.asarray(occupations, dtype=np.int64).reshape(-1, self.num_modes)
+        rows = np.searchsorted(self._codes, occupations @ self._strides)
+        found = rows < self.dim
+        found[found] = (self.states[rows[found]] == occupations[found]).all(axis=1)
+        if not found.all():
+            raise ParameterDomainError(
+                f"occupation {occupations[~found][0].tolist()} is not in the basis "
+                f"of {self.total} photons with cutoff {self.cutoff}"
+            )
+        return rows
 
     def sector_indices(self, total: int) -> np.ndarray:
         """Rows of all basis states with the given total photon number."""
-        return np.nonzero(self._totals == total)[0]
+        return np.arange(self.dim if total == self.total else 0)
+
+    def raised(self, coefficients, amplitudes) -> tuple["OccupationBasis", np.ndarray]:
+        """sum_k c_k a_k^dag applied to amplitudes over this basis: the basis
+        of the next sector and the amplitudes over it.  Amplitude that would
+        pass the cutoff is dropped."""
+        upper = OccupationBasis(self.num_modes, self.total + 1, self.cutoff)
+        rows, k = np.nonzero(upper.states)   # each state with each occupied mode
+        lowered = upper.states[rows]
+        lowered[np.arange(rows.size), k] -= 1
+        out = np.zeros(upper.dim, dtype=complex)
+        np.add.at(out, rows, np.asarray(coefficients)[k] * np.sqrt(upper.states[rows, k])
+                  * np.asarray(amplitudes)[self.rows_of(lowered)])
+        return upper, out
+
+    def one_body_elements(self, h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Matrix elements of sum_jk h_jk a_j^dag a_k on this sector as
+        (rows, columns, values), one entry per nonzero h_jk and state."""
+        h = np.asarray(h, dtype=complex)
+        j, k = np.nonzero(h)
+        pair, cols = np.nonzero(self.states[:, k].T)   # the states a_k finds a photon in
+        j, k, at = j[pair], k[pair], np.arange(pair.size)
+        moved = self.states[cols]
+        moved[at, k] -= 1
+        moved[at, j] += 1
+        values = h[j, k] * np.sqrt(self.states[cols, k] * moved[at, j])
+        return self.rows_of(moved), cols, values
+
+    def apply(self, h, amplitudes) -> np.ndarray:
+        """sum_jk h_jk a_j^dag a_k applied to amplitudes over this sector."""
+        rows, cols, values = self.one_body_elements(h)
+        image = np.zeros(self.dim, dtype=complex)
+        np.add.at(image, rows, values * np.asarray(amplitudes)[cols])
+        return image
 
 
 class ModeBasis:
@@ -124,17 +125,16 @@ class ModeBasis:
     Mode order is (channel 1, Schmidt 1), (channel 1, Schmidt 2),
     (channel 2, Schmidt 1), (channel 2, Schmidt 2).  The overlap s fixes the
     packet operators: packet 1 of channel j is the first Schmidt mode, packet
-    2 is conj(s) a_{j,1} + sqrt(1 - |s|^2) a_{j,2}.
+    2 is conj(s) a_{j,1} + sqrt(1 - |s|^2) a_{j,2}.  Each operator is returned
+    as its 4-vector of mode coefficients.
     """
 
-    def __init__(self, overlap, cutoff: int = DEFAULT_CUTOFF,
-                 max_dimension: int = MAX_DIMENSION):
+    def __init__(self, overlap, cutoff: int = DEFAULT_CUTOFF):
         if not isinstance(overlap, GramMatrix):
             overlap = GramMatrix(complex(overlap))
         self.s = overlap.s_overlap
         self.t = math.sqrt(max(0.0, 1.0 - abs(self.s) ** 2))
         self.cutoff = int(cutoff)
-        self.basis = OccupationBasis(4, self.cutoff, max_dimension=max_dimension)
 
     def _mode(self, channel: int, schmidt: int) -> int:
         if channel not in (1, 2) or schmidt not in (1, 2):
@@ -143,32 +143,29 @@ class ModeBasis:
             )
         return 2 * (channel - 1) + (schmidt - 1)
 
-    def storage_packet_op(self, channel: int, packet: int) -> sparse.csr_matrix:
-        """Annihilation operator of the given stored packet mode."""
+    def storage_packet_op(self, channel: int, packet: int) -> np.ndarray:
+        """Mode coefficients of the annihilation operator of a stored packet."""
+        op = np.zeros(4, dtype=complex)
         if packet == 1:
-            return self.basis.annihilation_matrix(self._mode(channel, 1))
-        if packet == 2:
-            a1 = self.basis.annihilation_matrix(self._mode(channel, 1))
-            a2 = self.basis.annihilation_matrix(self._mode(channel, 2))
-            return (self.s.conjugate() * a1 + self.t * a2).tocsr()
-        raise ParameterDomainError(f"packet must be 1 or 2, got {packet!r}")
+            op[self._mode(channel, 1)] = 1.0
+        elif packet == 2:
+            op[self._mode(channel, 1)] = self.s.conjugate()
+            op[self._mode(channel, 2)] = self.t
+        else:
+            raise ParameterDomainError(f"packet must be 1 or 2, got {packet!r}")
+        return op
 
-    def release_packet_op(self, transfer: TransferMatrix, channel: int, packet: int) -> sparse.csr_matrix:
-        """Annihilation operator of a released packet mode: the channel index
-        is rotated by the transfer matrix, the packet structure is untouched."""
+    def release_packet_op(self, transfer: TransferMatrix, channel: int, packet: int) -> np.ndarray:
+        """Mode coefficients of a released packet mode: the channel index is
+        rotated by the transfer matrix, the packet structure is untouched."""
         row1, row2 = transfer.row(channel)
-        return (row1 * self.storage_packet_op(1, packet)
-                + row2 * self.storage_packet_op(2, packet)).tocsr()
+        return row1 * self.storage_packet_op(1, packet) + row2 * self.storage_packet_op(2, packet)
 
 
 class TruncatedState:
-    """State vector over an OccupationBasis, kept normalized.
+    """State vector over one OccupationBasis sector, kept normalized."""
 
-    ``total`` records the total photon number when the state lives in a single
-    sector, which the oracle exploits for exact restricted eigenproblems.
-    """
-
-    def __init__(self, amplitudes, basis: OccupationBasis, total: Optional[int] = None):
+    def __init__(self, amplitudes, basis: OccupationBasis):
         amplitudes = np.asarray(amplitudes, dtype=complex)
         if amplitudes.shape != (basis.dim,):
             raise ParameterDomainError(
@@ -182,15 +179,16 @@ class TruncatedState:
             )
         self.amplitudes = amplitudes
         self.basis = basis
-        self.total = total
+        self.total = basis.total
 
-    def expectation(self, operator: sparse.spmatrix) -> complex:
-        return complex(np.vdot(self.amplitudes, operator @ self.amplitudes))
+    def expectation(self, h) -> complex:
+        """Expectation of the one-body operator sum_jk h_jk a_j^dag a_k."""
+        return complex(np.vdot(self.amplitudes, self.basis.apply(h, self.amplitudes)))
 
 
 def build_fock_input(n: int, m: int, mode_basis: ModeBasis) -> TruncatedState:
     """Stored input state: n photons in packet 1 of channel 1, m photons in
-    packet 2 of channel 2, carved out of the truncated four-mode space."""
+    packet 2 of channel 2, raised from the vacuum one sector at a time."""
     if n < 0 or m < 0:
         raise ParameterDomainError(f"photon numbers must be >= 0, got n={n}, m={m}")
     needed = max(n, m)
@@ -200,56 +198,54 @@ def build_fock_input(n: int, m: int, mode_basis: ModeBasis) -> TruncatedState:
             f"basis has {mode_basis.cutoff}",
             required=needed,
         )
-    basis = mode_basis.basis
-    vec = np.zeros(basis.dim, dtype=complex)
-    vec[basis.vacuum_index] = 1.0
-    create2 = mode_basis.storage_packet_op(2, 2).conj().T.tocsr()
+    basis, vec = OccupationBasis(4, 0, mode_basis.cutoff), np.ones(1, dtype=complex)
+    create2 = mode_basis.storage_packet_op(2, 2).conj()
     for _ in range(m):
-        vec = create2 @ vec
-    create1 = basis.creation_matrix(0)
+        basis, vec = basis.raised(create2, vec)
+    create1 = mode_basis.storage_packet_op(1, 1).conj()
     for _ in range(n):
-        vec = create1 @ vec
+        basis, vec = basis.raised(create1, vec)
     vec /= math.sqrt(math.factorial(n) * math.factorial(m))
-    return TruncatedState(vec, basis, total=n + m)
+    return TruncatedState(vec, basis)
 
 
 def released_number_operator(transfer: TransferMatrix, mode_basis: ModeBasis,
-                             channel: int = 1) -> sparse.csr_matrix:
-    """Photon-number operator of one released output channel.
+                             channel: int = 1) -> np.ndarray:
+    """One-body matrix h of the photon-number operator of one released
+    output channel, sum_jk h_jk a_j^dag a_k over ModeBasis's four modes.
 
     For partial overlap the packet modes are not orthogonal and the counting
     operator is the Gram-weighted combination of the two released packet
     operators divided by 1 - |s|^2; at unit overlap the two packets are one
     mode and the operator reduces to a plain number operator.  Conditioning
-    degrades as |s| approaches 1, where the reduction takes over.
+    degrades as |s| approaches 1, where the reduction takes over.  Either way
+    h must be Hermitian and must not link the two Schmidt components; the
+    rounding residue of those links is set to zero.
     """
     s = mode_basis.s
     x1 = mode_basis.release_packet_op(transfer, channel, 1)
     if abs(abs(s) - 1.0) <= _UNIT_OVERLAP_SWITCH:
-        n_op = (x1.conj().T @ x1).tocsr()
+        h = np.outer(x1.conj(), x1)
     else:
-        x2 = mode_basis.release_packet_op(transfer, channel, 2)
-        combo = (
-            x1.conj().T @ x1
-            - s * (x1.conj().T @ x2)
-            - s.conjugate() * (x2.conj().T @ x1)
-            + x2.conj().T @ x2
-        )
-        n_op = (combo / (1.0 - abs(s) ** 2)).tocsr()
-    defect = abs(n_op - n_op.conj().T)
-    if defect.nnz and defect.max() > HERMITICITY_TOL:
+        # sum_pq X_p^dag (G^-1)_pq X_q over the packets' inverse Gram matrix
+        packets = np.array([x1, mode_basis.release_packet_op(transfer, channel, 2)])
+        inverse_gram = np.array([[1.0, -s], [-s.conjugate(), 1.0]]) / (1.0 - abs(s) ** 2)
+        h = packets.conj().T @ inverse_gram @ packets
+    defect = float(np.max(np.abs(h - h.conj().T)))
+    if defect > HERMITICITY_TOL:
+        raise InternalConsistencyError(f"number operator is not Hermitian: deviation {defect:.3e}")
+    links = _SCHMIDT[:, None] != _SCHMIDT[None, :]
+    worst = float(np.max(np.abs(h[links])))
+    if worst > HERMITICITY_TOL:
         raise InternalConsistencyError(
-            f"number operator is not Hermitian: deviation {defect.max():.3e}"
+            f"number operator links the two Schmidt components: entry {worst:.3e}"
         )
-    return n_op
+    h[links] = 0.0
+    return h
 
 
 def _require_closed_sector(state: TruncatedState) -> int:
-    if state.total is None:
-        raise ParameterDomainError(
-            "state carries no total photon number; build it with build_fock_input"
-        )
-    if state.total > state.basis.cutoff:
+    if state.basis.cutoff is not None and state.total > state.basis.cutoff:
         raise CapacityError(
             f"total photon number {state.total} exceeds the cutoff {state.basis.cutoff}; "
             "the sector is not closed under the number operator",
@@ -258,39 +254,51 @@ def _require_closed_sector(state: TruncatedState) -> int:
     return state.total
 
 
-def oracle_distribution(state: TruncatedState, number_op: sparse.spmatrix) -> ReleaseDistribution:
+def oracle_distribution(state: TruncatedState, number_op) -> ReleaseDistribution:
     """Full count distribution by spectral projection of the number operator.
 
-    The operator conserves total photon number, so only the state's sector is
-    eigendecomposed.  With the sector total at or below the cutoff the block
-    is exact and every eigenvalue must round cleanly to an integer.
+    The operator conserves the photon count of each Schmidt component, so the
+    state's sector is eigendecomposed one block at a time, each block a dense
+    Hermitian matrix.  With the sector total at or below the cutoff every
+    block is exact and every eigenvalue must round cleanly to an integer.
     """
     total = _require_closed_sector(state)
-    rows = state.basis.sector_indices(total)
-    block = number_op.tocsr()[rows][:, rows].toarray()
-    values, vectors = np.linalg.eigh(block)
-    rounded = np.rint(values)
-    worst = float(np.max(np.abs(values - rounded))) if values.size else 0.0
-    if worst > EIGENVALUE_ROUND_TOL:
-        raise InternalConsistencyError(
-            f"number-operator eigenvalue off an integer by {worst:.3e}; "
-            "the truncated representation is inconsistent"
-        )
-    counts = rounded.astype(int)
-    if counts.size and (counts.min() < 0 or counts.max() > total):
-        raise InternalConsistencyError(
-            f"eigenvalues span {counts.min()}..{counts.max()}, outside 0..{total}"
-        )
-    weights = np.abs(vectors.conj().T @ state.amplitudes[rows]) ** 2
+    basis = state.basis
+    rows, cols, values = basis.one_body_elements(number_op)
+    block_of = basis.states[:, _SCHMIDT == 0].sum(axis=1)
+    if np.any(block_of[rows] != block_of[cols]):
+        raise InternalConsistencyError("number operator links the two Schmidt components")
+    position = np.zeros(basis.dim, dtype=np.int64)
     probs = np.zeros(total + 1)
-    np.add.at(probs, counts, weights)
+    for key in np.unique(block_of):
+        members = np.nonzero(block_of == key)[0]
+        amplitudes = state.amplitudes[members]
+        if not amplitudes.any():
+            continue
+        position[members] = np.arange(members.size)
+        inside = block_of[cols] == key
+        block = np.zeros((members.size, members.size), dtype=complex)
+        np.add.at(block, (position[rows[inside]], position[cols[inside]]), values[inside])
+        eigenvalues, vectors = np.linalg.eigh(block)
+        counts = np.rint(eigenvalues)
+        worst = float(np.max(np.abs(eigenvalues - counts)))
+        if worst > EIGENVALUE_ROUND_TOL:
+            raise InternalConsistencyError(
+                f"number-operator eigenvalue off an integer by {worst:.3e}; "
+                "the truncated representation is inconsistent"
+            )
+        if counts.min() < 0 or counts.max() > total:
+            raise InternalConsistencyError(
+                f"eigenvalues span {counts.min():.0f}..{counts.max():.0f}, outside 0..{total}"
+            )
+        np.add.at(probs, counts.astype(int), np.abs(vectors.conj().T @ amplitudes) ** 2)
     return ReleaseDistribution(probs)
 
 
-def oracle_moments(state: TruncatedState, number_op: sparse.spmatrix) -> tuple[float, float]:
+def oracle_moments(state: TruncatedState, number_op) -> tuple[float, float]:
     """Mean and variance of the released count, straight from matrix algebra."""
     _require_closed_sector(state)
-    image = number_op @ state.amplitudes
+    image = state.basis.apply(number_op, state.amplitudes)
     mean = float(np.real(np.vdot(state.amplitudes, image)))
     second = float(np.real(np.vdot(image, image)))
     return mean, second - mean * mean

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ParameterDomainError
+from .fock_oracle import OccupationBasis
 from .gaussian_states import cosh_sinh
 from .mode_transform import StageAngles, TransferMatrix, build_transfer_matrix
 
@@ -185,37 +186,31 @@ def _check_tail(r: float, alpha: complex, cutoff: int) -> None:
         )
 
 
-def _variance_of(psi: np.ndarray, operator) -> float:
-    image = operator @ psi
+def _variance_of(psi: np.ndarray, image: np.ndarray) -> float:
+    """Variance of an operator in the normalized state psi, image being the
+    operator applied to psi."""
     mean = float(np.real(np.vdot(psi, image)))
     return float(np.real(np.vdot(image, image))) - mean * mean
 
 
 def _quantum_oracle(config: HomodyneConfig, cutoff: int) -> float:
     """(squeezed vacuum) x (coherent probe) evolved through the transfer
-    matrix; the difference operator conserves total photon number, so a
-    total-number truncation is exact apart from the input tail."""
-    from .fock_oracle import OccupationBasis   # scipy.sparse, only for the oracle
-
+    matrix.  The difference operator K conserves total photon number, so each
+    sector of N photons (N + 1 states) is taken on its own and a total-number
+    truncation is exact apart from the input tail."""
     _check_tail(config.r1, config.alpha2, cutoff)
     sq = _squeezed_vacuum_coefficients(config.r1, cutoff + 1)
     coh = _coherent_coefficients(config.alpha2, cutoff + 1)
 
-    basis = OccupationBasis(2, cutoff, total_cutoff=cutoff)
-    occ = basis.states
-    psi = sq[occ[:, 0]] * coh[occ[:, 1]]
-    psi /= np.linalg.norm(psi)
-
+    # K = sum_jk w_jk a_j^dag a_k with w = S^dag diag(1, -1) S
     s = config.transfer.matrix
-    ann = [basis.annihilation_matrix(0), basis.annihilation_matrix(1)]
-    diff = None
-    for j in range(2):
-        for k in range(2):
-            weight = (s[0, j].conjugate() * s[0, k]
-                      - s[1, j].conjugate() * s[1, k])
-            term = weight * (ann[j].conj().T @ ann[k])
-            diff = term if diff is None else diff + term
-    return _variance_of(psi, diff.tocsr())
+    weights = np.outer(s[0].conj(), s[0]) - np.outer(s[1].conj(), s[1])
+    sectors = [OccupationBasis(2, total) for total in range(cutoff + 1)]
+    parts = [sq[basis.states[:, 0]] * coh[basis.states[:, 1]] for basis in sectors]
+    image = np.concatenate([basis.apply(weights, part) for basis, part in zip(sectors, parts)])
+    psi = np.concatenate(parts)
+    norm = np.linalg.norm(psi)
+    return _variance_of(psi / norm, image / norm)
 
 
 def _classical_oracle(config: HomodyneConfig, cutoff: int) -> float:
@@ -244,7 +239,7 @@ def _classical_oracle(config: HomodyneConfig, cutoff: int) -> float:
         )
     lower = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), 1)
     operator = c * lower.conj().T + c.conjugate() * lower
-    return _variance_of(sq.astype(complex), operator)
+    return _variance_of(sq, operator @ sq)
 
 
 def homodyne_oracle(config: HomodyneConfig, cutoff: int = DEFAULT_CUTOFF) -> float:

@@ -547,6 +547,26 @@ class TestMainEntry:
         assert err.startswith(f"error: {error}") and len(err.splitlines()) == 1
         assert err.rstrip().endswith(f" at {name}={float(value)!r}")
 
+    @pytest.mark.parametrize("r2", ["400", "1000", "-1000"])
+    def test_unreached_channel_may_overflow(self, r2, capsys):
+        # at the default angles channel 2 never reaches channel 1: its weight
+        # is exactly zero, so e^(|r2|) overflowing past 709.78 is harmless
+        assert main(["eval", "--kind", "quadratures", "--set", f"r2={r2}"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["mean_q,mean_p,var_q,var_p", "0,0,0.5,0.5"]
+        # a reached channel still overflows
+        assert main(["eval", "--kind", "quadratures", "--set", f"r2={r2}", "--set", "phi1=0.7"]) == 1
+        assert "overflow" in capsys.readouterr().err
+
+    def test_overflowing_channel_sweep_is_the_single_point_route(self):
+        sweep = {"r2": {"start": -1000, "stop": 1000, "count": 5}}
+        unreached = {"r1": 0.3, "alpha2_re": 1.5}
+        assert_sweep_is_the_single_point_route("quadratures", unreached, sweep)
+        values = run_experiment(ExperimentConfig.from_mapping(
+            {"kind": "quadratures", "params": unreached, "sweep": sweep})).values
+        assert (values[:, 1:] == values[2, 1:]).all()   # r2 = 0 is the middle row
+        # a reached channel: the sweep raises the first overflowing point's error
+        assert_sweep_is_the_single_point_route("quadratures", {"phi1": 0.7}, sweep)
+
     @pytest.mark.parametrize("r1,var_q", [("10", "1.03057681122e-09"), ("18", "1.15976141512e-16"),
                                           ("40", "9.02425693923e-36")])
     def test_strong_squeezing_keeps_its_digits(self, r1, var_q, capsys):
@@ -592,15 +612,36 @@ class TestMainEntry:
         assert main([*command, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
-    def test_import_does_not_load_scipy(self):
+    @staticmethod
+    def run_python(probe):
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=60, check=True).stdout
+
+    def test_import_does_not_load_scipy(self):
         probe = ("import sys, storedlight.cli; "
                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        result = subprocess.run([sys.executable, "-c", probe], env=env,
-                                capture_output=True, text=True, timeout=60, check=True)
-        assert result.stdout.strip() == "[]"
+        assert self.run_python(probe).strip() == "[]"
+
+    def test_oracles_run_without_scipy(self):
+        # a None entry in sys.modules makes every import of scipy fail
+        probe = "\n".join([
+            "import sys",
+            "sys.modules['scipy'] = None",
+            "from storedlight import *",
+            "transfer = magnetic_phase_matrix(1.3)",
+            "basis = ModeBasis(0.6, cutoff=4)",
+            "dist = oracle_distribution(build_fock_input(2, 2, basis),",
+            "                           released_number_operator(transfer, basis))",
+            "closed = release_distribution(FockInput(2, 2, GramMatrix(0.6)), transfer)",
+            "config = HomodyneConfig(0.3, 1.0, 0.4, StageAngles(0.2, 0, 0), StageAngles(1.1, 0, 0))",
+            "print(max(abs(dist.probabilities - closed.probabilities)),",
+            "      abs(homodyne_oracle(config) - general_variance(config)))",
+        ])
+        gaps = [float(gap) for gap in self.run_python(probe).split()]
+        assert len(gaps) == 2 and max(gaps) < 1e-10
 
     def test_runtime_errors_exit_1(self, capsys):
         code = main(["eval", "--kind", "fock-distribution",

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -26,56 +28,67 @@ from storedlight import (
 
 class TestOccupationBasis:
     def test_single_mode_ladder(self):
-        basis = OccupationBasis(1, 3)
-        lowering = basis.annihilation_matrix(0).toarray()
-        expected = np.diag(np.sqrt([1.0, 2.0, 3.0]), k=1)
-        assert np.allclose(lowering, expected)
-        assert np.allclose(basis.creation_matrix(0).toarray(), expected.conj().T)
+        # a^dag |k-1> = sqrt(k) |k> and a^dag a |k> = k |k>
+        for k in range(1, 5):
+            upper, raised = OccupationBasis(1, k - 1).raised([1.0], [1.0])
+            assert upper.states.tolist() == [[k]]
+            assert raised[0] == pytest.approx(np.sqrt(k), abs=1e-15)
+            assert upper.apply([[1.0]], [1.0])[0] == pytest.approx(k)
 
     def test_commutator_below_cutoff(self):
-        basis = OccupationBasis(2, 4)
-        a = basis.annihilation_matrix(0)
-        comm = (a @ a.conj().T - a.conj().T @ a).toarray()
-        # canonical on every state that the raising operator keeps in range
-        interior = basis.states[:, 0] < basis.cutoff
-        assert np.allclose(comm[np.ix_(interior, interior)],
-                           np.eye(basis.dim)[np.ix_(interior, interior)])
+        # <o|a a^dag|o> - <o|a^dag a|o> = |a^dag o|^2 - o_k = 1 on every state
+        # that the raising operator keeps in range
+        basis = OccupationBasis(2, 3, cutoff=3)
+        for row, occupation in enumerate(basis.states):
+            for mode in range(2):
+                unit = np.eye(basis.dim)[row]
+                _, raised = basis.raised(np.eye(2)[mode], unit)
+                number = np.diag(np.eye(2)[mode])
+                commutator = np.vdot(raised, raised) - np.vdot(unit, basis.apply(number, unit))
+                expected = 1.0 if occupation[mode] < basis.cutoff else -occupation[mode]
+                assert commutator.real == pytest.approx(expected, abs=1e-12)
+
+    def test_one_body_operators_commute_like_their_matrices(self, rng):
+        # [A(h), A(g)] = A([h, g]) for A(h) = sum_jk h_jk a_j^dag a_k
+        basis = OccupationBasis(3, 4)
+        h, g = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+
+        def dense(matrix):
+            return np.column_stack([basis.apply(matrix, unit) for unit in np.eye(basis.dim)])
+
+        assert np.allclose(dense(h) @ dense(g) - dense(g) @ dense(h), dense(h @ g - g @ h),
+                           atol=1e-12)
 
     def test_index_round_trip(self):
         basis = OccupationBasis(3, 2)
-        for row, occupation in enumerate(basis.states):
-            assert basis.index_of(occupation) == row
-        assert basis.states[basis.vacuum_index].sum() == 0
+        assert basis.rows_of(basis.states).tolist() == list(range(basis.dim))
         with pytest.raises(ParameterDomainError):
-            basis.index_of((5, 0, 0))
+            basis.rows_of((5, 0, 0))
+        with pytest.raises(ParameterDomainError):
+            basis.rows_of((0, 1, 3))   # shares its code with (0, 2, 0)
 
-    def test_total_cutoff_prunes_states(self):
+    def test_cutoff_prunes_sector_states(self):
         full = OccupationBasis(2, 3)
-        capped = OccupationBasis(2, 3, total_cutoff=3)
-        assert full.dim == 16
-        assert capped.dim == 10
-        assert capped.states.sum(axis=1).max() == 3
+        capped = OccupationBasis(2, 3, cutoff=2)
+        assert full.dim == 4
+        assert capped.states.tolist() == [[1, 2], [2, 1]]
 
     def test_sector_indices(self):
-        basis = OccupationBasis(2, 3)
-        for total in range(4):
-            rows = basis.sector_indices(total)
-            assert all(basis.states[r].sum() == total for r in rows)
-        assert basis.sector_indices(2).size == 3
-
-    def test_dimension_budget(self):
-        with pytest.raises(CapacityError):
-            OccupationBasis(4, 50, max_dimension=10_000)
+        for modes, total in [(1, 3), (2, 5), (4, 0), (4, 6)]:
+            basis = OccupationBasis(modes, total)
+            assert basis.dim == math.comb(total + modes - 1, modes - 1)
+            assert (basis.states.sum(axis=1) == total).all()
+            assert sorted(map(tuple, basis.states)) == list(map(tuple, basis.states))
+            assert basis.sector_indices(total).tolist() == list(range(basis.dim))
+            assert basis.sector_indices(total + 1).size == 0
 
 
 class TestModeBasis:
     def test_packet_overlap_is_the_gram_entry(self):
         s = 0.6 * np.exp(0.8j)
         mode_basis = ModeBasis(s, cutoff=2)
-        vac = np.zeros(mode_basis.basis.dim)
-        vac[mode_basis.basis.vacuum_index] = 1.0
         one_in_packet = [
-            mode_basis.storage_packet_op(1, packet).conj().T @ vac
+            OccupationBasis(4, 0).raised(mode_basis.storage_packet_op(1, packet).conj(), [1.0])[1]
             for packet in (1, 2)
         ]
         assert np.vdot(one_in_packet[0], one_in_packet[0]) == pytest.approx(1.0)
@@ -110,7 +123,7 @@ class TestBuildFockInput:
 
 class TestTruncatedState:
     def test_rejects_unnormalized_amplitudes(self):
-        basis = OccupationBasis(1, 2)
+        basis = OccupationBasis(2, 2)
         with pytest.raises(InternalConsistencyError):
             TruncatedState(np.array([0.5, 0.0, 0.0]), basis)
 
@@ -120,10 +133,12 @@ class TestReleasedNumberOperator:
         for s in (1.0, 0.4 * np.exp(0.9j)):
             mode_basis = ModeBasis(s, cutoff=3)
             op = released_number_operator(random_transfer(rng), mode_basis)
-            assert abs(op - op.conj().T).max() < 1e-12
-            vac = np.zeros(mode_basis.basis.dim)
-            vac[mode_basis.basis.vacuum_index] = 1.0
-            assert abs(np.vdot(vac, op @ vac)) < 1e-14
+            assert op.shape == (4, 4)
+            assert np.abs(op - op.conj().T).max() < 1e-12
+            # no entry links the two Schmidt components
+            assert not op[np.ix_([0, 2], [1, 3])].any() and not op[np.ix_([1, 3], [0, 2])].any()
+            vacuum = TruncatedState([1.0], OccupationBasis(4, 0))
+            assert abs(vacuum.expectation(op)) < 1e-14
 
     def test_channel_sum_counts_everything(self, rng):
         # at unit overlap the two released channels exhaust the photons
@@ -159,6 +174,21 @@ class TestOracleAgaintClosedForms:
                                        released_number_operator(transfer, mode_basis))
             worst = max(worst, float(np.max(np.abs(got.probabilities - want.probabilities))))
         assert worst < 1e-12
+
+    @pytest.mark.parametrize("n,m,overlaps", [
+        (6, 18, (0.0, 0.6 * np.exp(2.1j), 0.999 * np.exp(-0.7j))),
+        (12, 12, (0.0, 0.6 * np.exp(2.1j), 0.999)),
+        (18, 6, (0.3 * np.exp(-1.2j),)),
+        (1, 23, (0.999j,)),
+    ])
+    def test_distribution_at_partial_overlap_up_to_24_photons(self, n, m, overlaps, rng):
+        for s in overlaps:
+            transfer = random_transfer(rng)
+            mode_basis = ModeBasis(s, cutoff=n + m)
+            got = oracle_distribution(build_fock_input(n, m, mode_basis),
+                                      released_number_operator(transfer, mode_basis))
+            want = release_distribution(FockInput(n, m, GramMatrix(s)), transfer)
+            assert np.max(np.abs(got.probabilities - want.probabilities)) < 1e-12
 
     def test_moments_at_partial_overlap(self, rng):
         s = 0.6 * np.exp(0.3j)
@@ -198,4 +228,12 @@ class TestOracleAgaintClosedForms:
         state = build_fock_input(2, 2, mode_basis)
         op = released_number_operator(random_transfer(rng), mode_basis)
         with pytest.raises(CapacityError):
+            oracle_distribution(state, op)
+
+    def test_operator_linking_the_schmidt_blocks_is_refused(self):
+        mode_basis = ModeBasis(0.5, cutoff=4)
+        state = build_fock_input(1, 1, mode_basis)
+        op = released_number_operator(magnetic_phase_matrix(0.4), mode_basis)
+        op[0, 1] = op[1, 0] = 0.1
+        with pytest.raises(InternalConsistencyError, match="Schmidt"):
             oracle_distribution(state, op)

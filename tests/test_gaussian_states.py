@@ -131,6 +131,16 @@ class TestGridKernel:
         assert not np.isfinite(moments[:, 1]).all()
         assert moments[2:, 4].tolist() == [0.125, 0.125] and moments[2:, 5].tolist() == [0.0, 0.0]
 
+    def test_zero_weight_survives_an_overflowing_scale(self):
+        # an exactly zero entry times e^(|r2|) = inf contributes 0, not nan;
+        # -0.0 keeps its sign as it would under a finite scale
+        row = np.array([[1.0, 1.0, 1.0], [0.0, -0.0, 0.0]])
+        moments, passed = quadrature_moments(row, 0.2, np.array([1000.0, -1000.0, 0.0]),
+                                             (0.3, 0.0), (1.0, -2.0))
+        assert passed.all()
+        assert moments[:, 0].tobytes() == moments[:, 2].tobytes()
+        assert moments[:, 1].tobytes() == moments[:, 2].tobytes()
+
     def test_squeezing_keeps_its_digits(self):
         # var_q = e^(-2 r)/2 and var_p = e^(2 r)/2 with no cosh - sinh to cancel:
         # each is the rounded square of math.exp, halved exactly
