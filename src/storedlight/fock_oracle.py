@@ -49,20 +49,17 @@ _SCHMIDT = np.arange(4) % 2
 
 class OccupationBasis:
     """Occupation-number states of a few bosonic modes that hold exactly
-    ``total`` photons, in lexicographic order; a ``cutoff`` drops the states
-    with more photons than that in one mode."""
+    ``total`` photons, in lexicographic order."""
 
-    def __init__(self, num_modes: int, total: int, cutoff: Optional[int] = None):
-        if num_modes < 1 or total < 0 or (cutoff is not None and cutoff < 0):
-            raise ParameterDomainError("need num_modes >= 1, total >= 0 and cutoff >= 0")
+    def __init__(self, num_modes: int, total: int):
+        if num_modes < 1 or total < 0:
+            raise ParameterDomainError("need num_modes >= 1 and total >= 0")
         self.num_modes = num_modes
         self.total = total
-        self.cutoff = cutoff
         # stars and bars: the bar positions of each composition of total
         bars = np.array(list(itertools.combinations(range(total + num_modes - 1), num_modes - 1)),
                         dtype=np.int64)
-        states = np.diff(bars, axis=1, prepend=-1, append=total + num_modes - 1) - 1
-        self.states = states if cutoff is None else states[(states <= cutoff).all(axis=1)]
+        self.states = np.diff(bars, axis=1, prepend=-1, append=total + num_modes - 1) - 1
         self.dim = self.states.shape[0]
         # big-endian codes in base total + 1 rise in lexicographic order
         self._strides = (total + 1) ** np.arange(num_modes - 1, -1, -1, dtype=np.int64)
@@ -77,7 +74,7 @@ class OccupationBasis:
         if not found.all():
             raise ParameterDomainError(
                 f"occupation {occupations[~found][0].tolist()} is not in the basis "
-                f"of {self.total} photons with cutoff {self.cutoff}"
+                f"of {self.total} photons"
             )
         return rows
 
@@ -87,9 +84,8 @@ class OccupationBasis:
 
     def raised(self, coefficients, amplitudes) -> tuple["OccupationBasis", np.ndarray]:
         """sum_k c_k a_k^dag applied to amplitudes over this basis: the basis
-        of the next sector and the amplitudes over it.  Amplitude that would
-        pass the cutoff is dropped."""
-        upper = OccupationBasis(self.num_modes, self.total + 1, self.cutoff)
+        of the next sector and the amplitudes over it."""
+        upper = OccupationBasis(self.num_modes, self.total + 1)
         rows, k = np.nonzero(upper.states)   # each state with each occupied mode
         lowered = upper.states[rows]
         lowered[np.arange(rows.size), k] -= 1
@@ -163,9 +159,10 @@ class ModeBasis:
 
 
 class TruncatedState:
-    """State vector over one OccupationBasis sector, kept normalized."""
+    """State vector over one OccupationBasis sector, kept normalized, with
+    the per-mode cutoff of the mode basis it was built for."""
 
-    def __init__(self, amplitudes, basis: OccupationBasis):
+    def __init__(self, amplitudes, basis: OccupationBasis, cutoff: Optional[int] = None):
         amplitudes = np.asarray(amplitudes, dtype=complex)
         if amplitudes.shape != (basis.dim,):
             raise ParameterDomainError(
@@ -174,12 +171,12 @@ class TruncatedState:
         norm = float(np.linalg.norm(amplitudes))
         if abs(norm - 1.0) > STATE_NORM_TOL:
             raise InternalConsistencyError(
-                f"state norm is {norm:.12f}, expected 1 within {STATE_NORM_TOL:.1e}; "
-                "amplitude has leaked past the cutoff"
+                f"state norm is {norm:.12f}, expected 1 within {STATE_NORM_TOL:.1e}"
             )
         self.amplitudes = amplitudes
         self.basis = basis
         self.total = basis.total
+        self.cutoff = cutoff
 
     def expectation(self, h) -> complex:
         """Expectation of the one-body operator sum_jk h_jk a_j^dag a_k."""
@@ -198,7 +195,7 @@ def build_fock_input(n: int, m: int, mode_basis: ModeBasis) -> TruncatedState:
             f"basis has {mode_basis.cutoff}",
             required=needed,
         )
-    basis, vec = OccupationBasis(4, 0, mode_basis.cutoff), np.ones(1, dtype=complex)
+    basis, vec = OccupationBasis(4, 0), np.ones(1, dtype=complex)
     create2 = mode_basis.storage_packet_op(2, 2).conj()
     for _ in range(m):
         basis, vec = basis.raised(create2, vec)
@@ -206,7 +203,7 @@ def build_fock_input(n: int, m: int, mode_basis: ModeBasis) -> TruncatedState:
     for _ in range(n):
         basis, vec = basis.raised(create1, vec)
     vec /= math.sqrt(math.factorial(n) * math.factorial(m))
-    return TruncatedState(vec, basis)
+    return TruncatedState(vec, basis, mode_basis.cutoff)
 
 
 def released_number_operator(transfer: TransferMatrix, mode_basis: ModeBasis,
@@ -245,10 +242,10 @@ def released_number_operator(transfer: TransferMatrix, mode_basis: ModeBasis,
 
 
 def _require_closed_sector(state: TruncatedState) -> int:
-    if state.basis.cutoff is not None and state.total > state.basis.cutoff:
+    if state.cutoff is not None and state.total > state.cutoff:
         raise CapacityError(
-            f"total photon number {state.total} exceeds the cutoff {state.basis.cutoff}; "
-            "the sector is not closed under the number operator",
+            f"total photon number {state.total} exceeds the cutoff {state.cutoff}; "
+            "a mode of the sector could hold more photons than the basis allows",
             required=state.total,
         )
     return state.total
@@ -259,8 +256,8 @@ def oracle_distribution(state: TruncatedState, number_op) -> ReleaseDistribution
 
     The operator conserves the photon count of each Schmidt component, so the
     state's sector is eigendecomposed one block at a time, each block a dense
-    Hermitian matrix.  With the sector total at or below the cutoff every
-    block is exact and every eigenvalue must round cleanly to an integer.
+    Hermitian matrix.  Every block is checked, occupied or not: each
+    eigenvalue must round cleanly to an integer between 0 and the total.
     """
     total = _require_closed_sector(state)
     basis = state.basis
@@ -272,9 +269,6 @@ def oracle_distribution(state: TruncatedState, number_op) -> ReleaseDistribution
     probs = np.zeros(total + 1)
     for key in np.unique(block_of):
         members = np.nonzero(block_of == key)[0]
-        amplitudes = state.amplitudes[members]
-        if not amplitudes.any():
-            continue
         position[members] = np.arange(members.size)
         inside = block_of[cols] == key
         block = np.zeros((members.size, members.size), dtype=complex)
@@ -291,7 +285,8 @@ def oracle_distribution(state: TruncatedState, number_op) -> ReleaseDistribution
             raise InternalConsistencyError(
                 f"eigenvalues span {counts.min():.0f}..{counts.max():.0f}, outside 0..{total}"
             )
-        np.add.at(probs, counts.astype(int), np.abs(vectors.conj().T @ amplitudes) ** 2)
+        np.add.at(probs, counts.astype(int),
+                  np.abs(vectors.conj().T @ state.amplitudes[members]) ** 2)
     return ReleaseDistribution(probs)
 
 

@@ -119,9 +119,9 @@ def _exp(x: float) -> float:
 
 
 def _scaled(part, scale):
-    """part * scale for a scale e^(+-r) that has overflowed to inf somewhere:
-    there an exactly zero part contributes its zero instead of 0 * inf = nan."""
-    return np.where(np.isinf(scale) & (part == 0.0), part, part * scale)
+    """part * scale for a scale e^(+-r): an exactly zero part contributes its
+    zero even where the scale has overflowed, instead of 0 * inf = nan."""
+    return np.where(part == 0.0, part, part * scale)
 
 
 def _product(a, b):
@@ -148,13 +148,12 @@ def quadrature_moments(row, r1, r2, alpha1, alpha2) -> tuple[np.ndarray, np.ndar
     """
     row = np.asarray(row, dtype=complex)
     scales = [_exp_pair(r1), _exp_pair(r2)]
-    multiply = _scaled if any(np.isinf(pair).any() for pair in scales) else np.multiply
     moments = []
     for factor in ((1.0, 0.0), (-0.0, -1.0)):   # 1 for q, -1j for p
         u1, u2 = [], []
         for u, entry, (shrink, stretch) in zip((u1, u2), row, scales):
             x, y = _product(factor, (entry.real, entry.imag))
-            u.extend((multiply(x, shrink), multiply(y, stretch)))
+            u.extend((_scaled(x, shrink), _scaled(y, stretch)))
         mean = math.sqrt(2.0) * (_product(u1, alpha1)[0] + _product(u2, alpha2)[0])
         moments += [mean, 0.5 * ((u1[0] * u1[0] + u1[1] * u1[1]) + (u2[0] * u2[0] + u2[1] * u2[1]))]
     mean_q, var_q, mean_p, var_p = np.broadcast_arrays(*moments)

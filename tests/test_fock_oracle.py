@@ -36,17 +36,16 @@ class TestOccupationBasis:
             assert upper.apply([[1.0]], [1.0])[0] == pytest.approx(k)
 
     def test_commutator_below_cutoff(self):
-        # <o|a a^dag|o> - <o|a^dag a|o> = |a^dag o|^2 - o_k = 1 on every state
-        # that the raising operator keeps in range
-        basis = OccupationBasis(2, 3, cutoff=3)
-        for row, occupation in enumerate(basis.states):
+        # <o|a a^dag|o> - <o|a^dag a|o> = |a^dag o|^2 - o_k = 1 on every state:
+        # a sector holds every composition, so raising never leaves the basis
+        basis = OccupationBasis(2, 3)
+        for row in range(basis.dim):
             for mode in range(2):
                 unit = np.eye(basis.dim)[row]
                 _, raised = basis.raised(np.eye(2)[mode], unit)
                 number = np.diag(np.eye(2)[mode])
                 commutator = np.vdot(raised, raised) - np.vdot(unit, basis.apply(number, unit))
-                expected = 1.0 if occupation[mode] < basis.cutoff else -occupation[mode]
-                assert commutator.real == pytest.approx(expected, abs=1e-12)
+                assert commutator.real == pytest.approx(1.0, abs=1e-12)
 
     def test_one_body_operators_commute_like_their_matrices(self, rng):
         # [A(h), A(g)] = A([h, g]) for A(h) = sum_jk h_jk a_j^dag a_k
@@ -66,12 +65,6 @@ class TestOccupationBasis:
             basis.rows_of((5, 0, 0))
         with pytest.raises(ParameterDomainError):
             basis.rows_of((0, 1, 3))   # shares its code with (0, 2, 0)
-
-    def test_cutoff_prunes_sector_states(self):
-        full = OccupationBasis(2, 3)
-        capped = OccupationBasis(2, 3, cutoff=2)
-        assert full.dim == 4
-        assert capped.states.tolist() == [[1, 2], [2, 1]]
 
     def test_sector_indices(self):
         for modes, total in [(1, 3), (2, 5), (4, 0), (4, 6)]:
@@ -148,6 +141,9 @@ class TestReleasedNumberOperator:
                     + released_number_operator(transfer, mode_basis, channel=2))
         state = build_fock_input(2, 1, mode_basis)
         assert state.expectation(total_op).real == pytest.approx(3.0, abs=1e-12)
+        # the sector is whole, so a total above the cutoff is no obstacle here
+        state = build_fock_input(3, 3, mode_basis)
+        assert state.expectation(total_op).real == pytest.approx(6.0, abs=1e-12)
 
 
 class TestOracleAgaintClosedForms:
@@ -236,4 +232,13 @@ class TestOracleAgaintClosedForms:
         op = released_number_operator(magnetic_phase_matrix(0.4), mode_basis)
         op[0, 1] = op[1, 0] = 0.1
         with pytest.raises(InternalConsistencyError, match="Schmidt"):
+            oracle_distribution(state, op)
+
+    def test_unoccupied_blocks_are_checked(self):
+        # at unit overlap every photon sits in Schmidt 1; weight 0.5 on a
+        # Schmidt-2 mode puts half-integer eigenvalues only in empty blocks
+        mode_basis = ModeBasis(1.0, cutoff=2)
+        state = build_fock_input(1, 1, mode_basis)
+        op = np.diag([1.0, 0.5, 0.0, 0.0]).astype(complex)
+        with pytest.raises(InternalConsistencyError, match="integer"):
             oracle_distribution(state, op)
