@@ -131,7 +131,10 @@ class ReleaseDistribution:
         return float(np.dot(counts * counts, self._probs))
 
     def variance(self) -> float:
-        return self.second_moment() - self.mean() ** 2
+        """Centred sum of (k - mean)^2 p_k: second_moment() - mean()^2
+        cancels to a few digits near a deterministic split."""
+        deviations = np.arange(self._probs.size) - self.mean()
+        return float(np.dot(deviations * deviations, self._probs))
 
 
 # Sweep points evaluated together: bounds the complex term block, which has
@@ -172,6 +175,35 @@ def _unit_overlap_block(n: int, m: int, entries: np.ndarray) -> np.ndarray:
     return column.real ** 2 + column.imag ** 2
 
 
+@functools.lru_cache(maxsize=MAX_TOTAL_PHOTONS + 1)
+def _mixture_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only tables for m second-packet photons, l of them shared and j
+    routed, l, j = 0..m: the Pascal-triangle rows C(m - l, j), zero for
+    j > m - l, as an (m + 1, 1, m + 1) array; C(m, l) as an (m + 1, 1)
+    column; and the exponent m - l - j, clipped at 0, as an index."""
+    spreads = np.array([[math.comb(m - l, j) for j in range(m + 1)] for l in range(m + 1)], dtype=float)
+    exponents = np.maximum(np.arange(m, -1, -1)[:, None] - np.arange(m + 1), 0)
+    spreads.flags.writeable = exponents.flags.writeable = False
+    return spreads[:, None, :], spreads[0, :, None], exponents
+
+
+def _unit_overlap_stack(n: int, m: int, entries: np.ndarray) -> np.ndarray:
+    """_unit_overlap_block(n, l, entries) for l = 0..m, bit for bit, zero-padded
+    into an (m + 1, P, n + m + 1) stack.  One phase table exp(-i beta h/2),
+    h = -(n+m)..n+m, serves every total: total n + l takes its eigenvalues
+    k - (n + l)/2 at h = 2k - n - l."""
+    beta = 2.0 * np.arctan2(np.abs(entries[1]), np.abs(entries[0]))
+    size = n + m
+    phases = np.exp(-1j * np.multiply.outer(beta, np.arange(-size, size + 1) / 2))
+    columns = np.zeros((m + 1, entries.shape[1], size + 1), dtype=complex)
+    for shared in range(m + 1):
+        total = n + shared
+        vectors = _jy_eigenvectors(total)
+        scaled = phases[:, size - total:size + total + 1:2] * vectors[n].conj()
+        np.add.reduce(vectors * scaled[:, None, :], axis=-1, out=columns[shared, :, :total + 1])
+    return columns.real ** 2 + columns.imag ** 2
+
+
 def _mixture_block(n: int, m: int, overlap: np.ndarray, entries: np.ndarray) -> np.ndarray:
     """Raw count probabilities at packet-overlap magnitudes |s| < 1.
 
@@ -180,23 +212,26 @@ def _mixture_block(n: int, m: int, overlap: np.ndarray, entries: np.ndarray) -> 
     packet's mode with binomial weight C(m, l) |s|^2l (1 - |s|^2)^(m - l) and
     interfere with the n first-channel photons; the other m - l are
     distinguishable and reach channel 1 independently with probability
-    |S12|^2 (Tichy, J. Phys. B 47, 103001, 2014).
+    |S12|^2 (Tichy, J. Phys. B 47, 103001, 2014).  The convolution of each
+    unit-overlap distribution with the binomial spread of the remainder runs
+    as m + 1 shift-and-add steps over the whole stack; every step is
+    elementwise or sums over the l axis, so rows round alike at any P.
     """
-    s_sq = overlap ** 2
-    routed = np.abs(entries[1])[:, None] ** 2
+    spread_binomials, weight_binomials, exponents = _mixture_tables(m)
+    s_sq, routed = overlap ** 2, np.abs(entries[1]) ** 2
+    # (P, m + 1) tables of x^k for x = |s|^2, 1 - |s|^2, r = |S12|^2 and 1 - r
+    bases = np.array([s_sq, 1.0 - s_sq, routed, 1.0 - routed])
+    s_pow, c_pow, r_pow, q_pow = bases[:, :, None] ** np.arange(m + 1.0)
+    weights = weight_binomials * s_pow.T * c_pow.T[::-1]
+    # spread[l, p, j] = C(m - l, j) r^j (1 - r)^(m - l - j), zero for j > m - l
+    spread = spread_binomials * r_pow * q_pow[:, exponents].transpose(1, 0, 2)
+    terms = weights[:, :, None] * spread
+    stack = _unit_overlap_stack(n, m, entries)
     probs = np.zeros((overlap.size, n + m + 1))
-    for shared in range(m + 1):
-        weight = math.comb(m, shared) * s_sq ** shared * (1.0 - s_sq) ** (m - shared)
-        rows = np.flatnonzero(weight)
-        if rows.size == 0:
-            continue
-        j = np.arange(m - shared + 1)
-        spread = (np.array([math.comb(m - shared, x) for x in j], dtype=float)
-                  * routed[rows] ** j * (1.0 - routed[rows]) ** (m - shared - j))
-        # row by row: np.convolve's BLAS dot products fuse multiply-adds,
-        # which no numpy array expression reproduces bit for bit
-        for row, unit, binomial in zip(rows, _unit_overlap_block(n, shared, entries[:, rows]), spread):
-            probs[row] += weight[row] * np.convolve(unit, binomial)
+    for shift in range(m + 1):
+        # only the l <= m - shift layers have photons left to route this far
+        layers = m + 1 - shift
+        probs[:, shift:] += np.add.reduce(stack[:layers, :, :n + layers] * terms[:layers, :, shift, None])
     return probs
 
 

@@ -129,14 +129,29 @@ def unitarity_defects(entries) -> np.ndarray:
 
 
 # The entry formulas work on Python numbers with math and cmath, and on numpy
-# arrays with numpy's cos, sin and exp, which round the same way.  The matrix
+# arrays with numpy's cos, sin and exp, which round the same way.  A real
+# factor times a complex one is two real products on both sides: the array
+# side holds each complex factor as stacked real and imaginary parts.  numpy's
+# complex product would promote the real factor to x + 0j and fuse
+# multiply-adds, which can flip the sign of an underflowed part.  The matrix
 # constructors stay scalar: numpy's per-call cost would dominate one point.
 
-def _stage_entries(phi0, chi20, chi30, phi1, chi21, chi31, cos, sin, exp):
+def _number_times(x: float, z: complex) -> complex:
+    return complex(x * z.real, x * z.imag)
+
+
+def _exp_parts(z: np.ndarray) -> np.ndarray:
+    """exp of a complex array as its real and imaginary parts, stacked along
+    a new first axis."""
+    w = np.exp(z)
+    return np.array([w.real, w.imag])
+
+
+def _stage_entries(phi0, chi20, chi30, phi1, chi21, chi31, cos, sin, exp, times):
     c0, s0, c1, s1 = cos(phi0), sin(phi0), cos(phi1), sin(phi1)
     a, b = exp(1j * (chi21 - chi20)), exp(1j * (chi31 - chi30))
-    return (c1 * c0 * a + s1 * s0 * b, -c1 * s0 * a + s1 * c0 * b,
-            -s1 * c0 * a + c1 * s0 * b, s1 * s0 * a + c1 * c0 * b)
+    return (times(c1 * c0, a) + times(s1 * s0, b), times(-c1 * s0, a) + times(s1 * c0, b),
+            times(-s1 * c0, a) + times(c1 * s0, b), times(s1 * s0, a) + times(c1 * c0, b))
 
 
 def _magnetic_entries(delta, cos, sin, exp):
@@ -155,7 +170,8 @@ def build_transfer_matrix(storage: StageAngles, release: StageAngles) -> Transfe
     identity when both stages coincide.
     """
     return TransferMatrix(*_stage_entries(storage.phi, storage.chi2, storage.chi3, release.phi,
-                                          release.chi2, release.chi3, math.cos, math.sin, cmath.exp))
+                                          release.chi2, release.chi3, math.cos, math.sin, cmath.exp,
+                                          _number_times))
 
 
 def transfer_entries(phi0, chi20, chi30, phi1, chi21, chi31) -> np.ndarray:
@@ -165,7 +181,10 @@ def transfer_entries(phi0, chi20, chi30, phi1, chi21, chi31) -> np.ndarray:
     Unvalidated: a non-finite angle gives NaN entries."""
     angles = [np.atleast_1d(np.asarray(x, dtype=float)) for x in (phi0, chi20, chi30, phi1, chi21, chi31)]
     with np.errstate(invalid="ignore"):
-        return np.array(_stage_entries(*angles, np.cos, np.sin, np.exp))
+        parts = np.array(_stage_entries(*angles, np.cos, np.sin, _exp_parts, np.multiply))
+    entries = np.empty((4, *parts.shape[2:]), dtype=complex)
+    entries.real, entries.imag = parts[:, 0], parts[:, 1]
+    return entries
 
 
 def magnetic_phase_matrix(delta: float) -> TransferMatrix:

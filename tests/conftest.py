@@ -18,12 +18,14 @@ def random_transfer(rng, scale=2 * np.pi):
 
 
 def overshoot_unit_overlap(monkeypatch, chosen):
-    """Scale the rows of the unit-overlap kernel that chosen(entries) selects
-    by 1 + 1e-9, so those points miss the normalisation guard tenfold."""
-    original = fock_interference._unit_overlap_block
+    """Scale by 1 + 1e-9 the rows that chosen(entries) selects in both
+    unit-overlap kernels, the unit route's block and the partial-overlap
+    mixture's stack, so those points miss the normalisation guard tenfold."""
+    for name in ("_unit_overlap_block", "_unit_overlap_stack"):
+        original = getattr(fock_interference, name)
 
-    def scaled(n, m, entries):
-        probs = original(n, m, entries)
-        return np.where(chosen(entries)[:, None], probs * (1.0 + 1e-9), probs)
+        def scaled(n, m, entries, original=original):
+            probs = original(n, m, entries)
+            return np.where(chosen(entries)[:, None], probs * (1.0 + 1e-9), probs)
 
-    monkeypatch.setattr(fock_interference, "_unit_overlap_block", scaled)
+        monkeypatch.setattr(fock_interference, name, scaled)

@@ -25,6 +25,7 @@ from storedlight import (
     release_distribution_unit_overlap,
     release_variance,
 )
+from storedlight import fock_interference
 from storedlight.fock_interference import GRID_CHUNK, release_probabilities
 from storedlight.mode_transform import magnetic_phase_entries, transfer_entries
 
@@ -215,6 +216,15 @@ class TestMoments:
             assert np.allclose(dist.mean(), mean_release_count(fock_input, transfer), atol=1e-12)
             assert np.allclose(dist.variance(), release_variance(fock_input, transfer), atol=1e-11)
 
+    @pytest.mark.parametrize("n,m", [(63, 1), (64, 0), (32, 32), (40, 24)])
+    @pytest.mark.parametrize("delta", [1e-6, 1e-3])
+    @pytest.mark.parametrize("s", [1.0, 0.5])
+    def test_variance_near_a_deterministic_split(self, n, m, delta, s):
+        # E[k^2] - E[k]^2 was 14% off at (63, 1), delta = 1e-6, s = 1
+        fock_input, transfer = FockInput(n, m, GramMatrix(s)), magnetic_phase_matrix(delta)
+        variance = release_distribution(fock_input, transfer).variance()
+        assert variance == pytest.approx(release_variance(fock_input, transfer), rel=1e-12, abs=0.0)
+
     def test_mean_is_overlap_independent(self, rng):
         transfer = random_transfer(rng)
         means = [mean_release_count(FockInput(2, 3, GramMatrix(s)), transfer)
@@ -296,8 +306,9 @@ def reference_unit_overlap(n, m, transfer):
     return probs
 
 
-def reference_mixture(n, m, s, transfer):
-    """The per-point partial-overlap mixture over the frozen sum above."""
+def reference_mixture(n, m, s, transfer, unit_overlap=reference_unit_overlap):
+    """The per-point partial-overlap mixture, row by row with np.convolve, over
+    unit_overlap(n, l, transfer): by default the frozen sum above."""
     s_sq, routed = abs(s) ** 2, abs(transfer.s12) ** 2
     probs = np.zeros(n + m + 1)
     for shared in range(m + 1):
@@ -305,8 +316,15 @@ def reference_mixture(n, m, s, transfer):
         if weight:
             binomial = [math.comb(m - shared, j) * routed ** j * (1.0 - routed) ** (m - shared - j)
                         for j in range(m - shared + 1)]
-            probs += weight * np.convolve(reference_unit_overlap(n, shared, transfer), binomial)
+            probs += weight * np.convolve(unit_overlap(n, shared, transfer), binomial)
     return probs
+
+
+def kernel_unit_overlap(n, m, transfer):
+    """The kernel's unit-overlap route at one point, exact to 1e-14 up to the
+    cap (TestUpToTheCap), where the frozen sum loses digits."""
+    entries = [[transfer.s11], [transfer.s12], [transfer.s21], [transfer.s22]]
+    return release_probabilities(n, m, entries)[0][0]
 
 
 def exact_unit_overlap(n, m, a, b, c):
@@ -320,6 +338,25 @@ def exact_unit_overlap(n, m, a, b, c):
                           * b ** (i - k) * a ** (m - i + k) for k in range(max(0, i - m), min(n, i) + 1))
         probs.append(Fraction(math.factorial(i) * math.factorial(total - i) * coefficient ** 2,
                               math.factorial(n) * math.factorial(m) * c ** (2 * total)))
+    return probs
+
+
+def exact_mixture(n, m, s_sq, a, b, c):
+    """The partial-overlap mixture as exact fractions, at the squared overlap
+    s_sq (a Fraction) and the transfer of exact_unit_overlap; each
+    convolution runs on integer numerators."""
+    probs = [Fraction(0)] * (n + m + 1)
+    for shared in range(m + 1):
+        rest = m - shared
+        scale = math.factorial(n) * math.factorial(shared) * c ** (2 * (n + shared))
+        unit = [int(p * scale) for p in exact_unit_overlap(n, shared, a, b, c)]
+        spread = [math.comb(rest, j) * b ** (2 * j) * (c * c - b * b) ** (rest - j) for j in range(rest + 1)]
+        weight = math.comb(m, shared) * s_sq ** shared * (1 - s_sq) ** rest / (scale * c ** (2 * rest))
+        convolved = [0] * (n + m + 1)
+        for i, u in enumerate(unit):
+            for j, v in enumerate(spread):
+                convolved[i + j] += u * v
+        probs = [p + weight * q for p, q in zip(probs, convolved)]
     return probs
 
 
@@ -381,6 +418,15 @@ class TestArrayKernel:
             single, _ = release_probabilities(5, 3, entries[:, k:k + 1], overlaps[k])
             assert row.tobytes() == single[0].tobytes()
 
+    @pytest.mark.parametrize("n,m", [(0, 0), (5, 3), (32, 32), (0, 64), (63, 1)])
+    def test_mixture_layers_are_the_unit_overlap_rows(self, n, m, rng):
+        entries = transfer_entries(*rng.uniform(-7, 7, size=(6, 20)))
+        stack = fock_interference._unit_overlap_stack(n, m, entries)
+        for shared, layer in enumerate(stack):
+            unit = fock_interference._unit_overlap_block(n, shared, entries)
+            assert np.ascontiguousarray(layer[:, :n + shared + 1]).tobytes() == unit.tobytes()
+            assert not layer[:, n + shared + 1:].any()
+
     def test_failed_guard_names_the_route(self, monkeypatch):
         unit, partial = FockInput(32, 32), FockInput(32, 32, GramMatrix(0.9))
         release_distribution_unit_overlap(unit, magnetic_phase_matrix(1.3))
@@ -401,6 +447,37 @@ class TestUpToTheCap:
                 raw, _ = release_probabilities(n, total - n, entries)
                 exact = [float(p) for p in exact_unit_overlap(n, total - n, a, b, c)]
                 assert np.allclose(raw[0], exact, rtol=0.0, atol=1e-14), (n, total - n)
+
+    @pytest.mark.parametrize("a,b,c", [(3, 4, 5), (20, 21, 29)])
+    @pytest.mark.parametrize("n,m", [(12, 12), (6, 18), (24, 24), (40, 8), (32, 32), (40, 24),
+                                     (63, 1), (0, 64), (8, 56)])
+    def test_partial_overlap_exact_at_pythagorean_transfers(self, a, b, c, n, m):
+        entries = np.array([[a / c], [b / c], [-b / c], [a / c]])
+        for s_sq in (Fraction(0), Fraction(1, 4), Fraction(9, 25)):
+            raw, ok = release_probabilities(n, m, entries, math.sqrt(s_sq))
+            exact = [float(p) for p in exact_mixture(n, m, s_sq, a, b, c)]
+            assert ok.all()
+            assert np.allclose(raw[0], exact, rtol=0.0, atol=1e-14), s_sq
+
+    @pytest.mark.parametrize("total", [24, 48, 64])
+    def test_partial_overlap_is_the_per_point_mixture_up_to_the_cap(self, total, rng):
+        for n in (0, 1, total // 4, total // 2, total - 1):
+            for s in (0.0, 0.5, 0.9, 1.0 - 2e-8):
+                transfer = random_transfer(rng)
+                entries = [[transfer.s11], [transfer.s12], [transfer.s21], [transfer.s22]]
+                raw, _ = release_probabilities(n, total - n, entries, s)
+                expected = reference_mixture(n, total - n, s, transfer, kernel_unit_overlap)
+                assert np.allclose(raw[0], expected, rtol=0.0, atol=1e-13), (n, s)
+
+    @pytest.mark.parametrize("n,m", [(32, 32), (40, 24), (63, 1), (0, 64)])
+    def test_mixed_chunk_rows_are_the_single_point_rows(self, n, m, rng):
+        size = 36
+        entries = transfer_entries(*rng.uniform(-7, 7, size=(6, size)))
+        overlaps = np.resize([1.0, 0.9, 1.0 - 5e-9, 0.5, 0.0, 1.0 - 2e-8], size)
+        raw, _ = release_probabilities(n, m, entries, overlaps)
+        for k, row in enumerate(raw):
+            single, _ = release_probabilities(n, m, entries[:, k:k + 1], overlaps[k])
+            assert row.tobytes() == single[0].tobytes(), (k, overlaps[k])
 
     @pytest.mark.parametrize("total", [48, 64])
     def test_normalised_at_every_split(self, total):

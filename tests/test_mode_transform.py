@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_stage, random_transfer
@@ -183,6 +183,8 @@ def _entries(transfer):
 
 class TestGridEntries:
     @given(st.lists(st.tuples(angles, angles, angles, angles, angles, angles), min_size=1, max_size=20))
+    # numpy's fused complex product gave Re S21 = -0.0 here, the matrix +0.0
+    @example(points=[(-0.0, -4.5, 0.0, -5e-324, 0.0, 0.0)])
     @settings(max_examples=100, deadline=None)
     def test_stage_entries_match_the_matrix_bit_for_bit(self, points):
         grid = transfer_entries(*np.array(points).T)
