@@ -331,7 +331,7 @@ def _uncertainty_point(params: dict) -> tuple:
 
 def _homodyne_kernel(grid: dict, entries: np.ndarray):
     variance, passed = count_difference_variance(grid["r1"], grid["alpha2_mod"], grid["gamma"],
-                                                 grid["phi1"] - grid["phi0"], grid["probe"])
+                                                 grid["phi0"], grid["phi1"], 0.0, grid["probe"])
     return [variance], passed
 
 

@@ -36,8 +36,8 @@ from .errors import (
 )
 from .mode_transform import UNIT_OVERLAP_TOL, GramMatrix, TransferMatrix
 
-# Largest total photon number a FockInput accepts by default; the closed
-# forms are tested up to it.
+# Largest total photon number a FockInput accepts; the closed forms are
+# tested up to it.
 MAX_TOTAL_PHOTONS = 64
 
 # Raw probabilities outside [0, 1] by more than this indicate a bug rather
@@ -56,7 +56,6 @@ class FockInput:
     n: int
     m: int
     overlap: GramMatrix = field(default_factory=lambda: GramMatrix(1.0))
-    max_total: int = MAX_TOTAL_PHOTONS
 
     def __post_init__(self):
         for name in ("n", "m"):
@@ -68,9 +67,9 @@ class FockInput:
             object.__setattr__(self, name, int(value))
         if not isinstance(self.overlap, GramMatrix):
             raise ParameterDomainError("overlap must be a GramMatrix")
-        if self.total > self.max_total:
+        if self.total > MAX_TOTAL_PHOTONS:
             raise CapacityError(
-                f"total photon number {self.total} exceeds the configured maximum {self.max_total}",
+                f"total photon number {self.total} exceeds the cap of {MAX_TOTAL_PHOTONS}",
                 required=self.total,
             )
 
@@ -238,21 +237,21 @@ def _mixture_block(n: int, m: int, overlap: np.ndarray, entries: np.ndarray) -> 
 def release_probabilities(n: int, m: int, entries, overlap=1.0) -> tuple[np.ndarray, np.ndarray]:
     """Raw photon-count distributions in output channel 1 at P points, given
     the (4, P) array of S11, S12, S21, S22 and the packet-overlap magnitude
-    |s|, a number or a (P,) array.  |s| within UNIT_OVERLAP_TOL of 1 takes
-    the unit-overlap closed form, smaller |s| the mixture.  Returns the
-    unclipped (P, n + m + 1) block and the (P,) mask of rows that pass
-    ReleaseDistribution's PROBABILITY_GUARD and SUM_TOL checks."""
+    |s|, a number or a (P,) array.  |s| within UNIT_OVERLAP_TOL of 1 counts
+    as 1: a chunk all at unit overlap takes the unit-overlap closed form, any
+    other the mixture, which gives the same rows bit for bit at |s| = 1.
+    Returns the unclipped (P, n + m + 1) block and the (P,) mask of rows that
+    pass ReleaseDistribution's PROBABILITY_GUARD and SUM_TOL checks."""
     entries = np.asarray(entries, dtype=complex)
     overlap = np.broadcast_to(np.asarray(overlap, dtype=float), entries.shape[1:])
     raw = np.empty((entries.shape[1], n + m + 1))
     for first in range(0, len(raw), GRID_CHUNK):
-        rows = np.arange(first, min(first + GRID_CHUNK, len(raw)))
-        whole = np.abs(1.0 - overlap[rows]) <= UNIT_OVERLAP_TOL
-        unit, part = rows[whole], rows[~whole]
-        if unit.size:
-            raw[unit] = _unit_overlap_block(n, m, entries[:, unit])
-        if part.size:
-            raw[part] = _mixture_block(n, m, overlap[part], entries[:, part])
+        rows = slice(first, first + GRID_CHUNK)
+        unit = np.abs(1.0 - overlap[rows]) <= UNIT_OVERLAP_TOL
+        if unit.all():
+            raw[rows] = _unit_overlap_block(n, m, entries[:, rows])
+        else:
+            raw[rows] = _mixture_block(n, m, np.where(unit, 1.0, overlap[rows]), entries[:, rows])
     in_range, normalised = _guard_checks(raw)
     return raw, in_range & normalised
 

@@ -2,21 +2,20 @@
 
 Channel 1 stores squeezed vacuum, channel 2 a coherent probe of modulus
 |alpha2| and phase gamma, and the observable is the difference K of photon
-numbers released into the two output channels.  With balanced mixing the
-difference operator degenerates into a probe-amplified quadrature of the
-signal field, so its variance sweeps between the squeezed and stretched
-levels as the control phase or the probe phase is tuned.
+numbers released into the two output channels.  K is quadratic in the mode
+operators, so its variance has one Gaussian-moment closed form at any mixing
+angles and control phases.  With balanced mixing K degenerates into a
+probe-amplified quadrature of the signal field, so its variance sweeps between
+the squeezed and stretched levels as the control or probe phase is tuned.
 
 Phase convention: the probe phase enters through the conjugated amplitude,
-alpha2 = |alpha2| exp(-i gamma).  Every general-mixing variance reported here
-is even in gamma, so the sign only becomes observable in the balanced case,
-where it makes the control and probe phases add.
+alpha2 = |alpha2| exp(-i gamma); at balanced mixing it adds to the control
+phase.
 
-The closed forms (balanced, classical probe; general mixing with all control
-phases zero) are checked against truncated Fock-space oracles that build the
-two-mode state and the difference operator explicitly.  The general-mixing
-form is one array kernel, count_difference_variance, over P points;
-general_variance is that kernel at one point.
+The closed form is one array kernel, count_difference_variance, over P
+points; general_variance is that kernel at one point and balanced_variance
+general_variance at one geometry.  Truncated Fock-space oracles that build the
+two-mode state and the difference operator explicitly check both.
 """
 
 from __future__ import annotations
@@ -84,67 +83,60 @@ class HomodyneConfig:
 
 
 def balanced_variance(r1: float, alpha2_mod: float, gamma: float, chi21: float) -> float:
-    """Count-difference variance for a classically treated probe at balanced
-    mixing (storage angle 0, release angle pi/4, only the release-stage
-    control phase chi21 live).
-
-    The difference operator reduces to a probe-amplified signal quadrature at
-    angle chi21 + gamma, so the variance is
-    |alpha2|^2 (cosh 2 r1 - sinh 2 r1 cos 2(chi21 + gamma)).
-    """
-    for name, value in (("r1", r1), ("alpha2_mod", alpha2_mod),
-                        ("gamma", gamma), ("chi21", chi21)):
-        if not math.isfinite(float(value)):
-            raise ParameterDomainError(f"{name} must be finite, got {value!r}")
-    if alpha2_mod < 0:
-        raise ParameterDomainError(f"alpha2_mod must be >= 0, got {alpha2_mod}")
-    angle = 2.0 * (chi21 + gamma)
-    return alpha2_mod ** 2 * (math.cosh(2.0 * r1) - math.sinh(2.0 * r1) * math.cos(angle))
+    """general_variance for a classically treated probe at balanced mixing
+    (storage angle 0, release angle pi/4, only the release-stage control
+    phase chi21 live): the difference operator reduces to a probe-amplified
+    signal quadrature at angle chi21 + gamma, and the variance is
+    |alpha2|^2 (cosh 2 r1 - sinh 2 r1 cos 2(chi21 + gamma))."""
+    return general_variance(HomodyneConfig(r1, alpha2_mod, gamma, StageAngles(0.0, 0.0, 0.0),
+                                           StageAngles(math.pi / 4, chi21, 0.0), PROBE_CLASSICAL))
 
 
 def general_variance(config: HomodyneConfig) -> float:
-    """Count-difference variance at arbitrary mixing angles with every control
-    phase zero: count_difference_variance at one point.
-
-    W = cos^2(2 dphi) (sinh^2(2 r1)/2 + |alpha2|^2)
-      + sin^2(2 dphi) [|alpha2|^2 (cosh 2 r1 - sinh 2 r1 cos 2 gamma) + sinh^2 r1]
-
-    with dphi the release-minus-storage mixing angle.  The direct term carries
-    the photon-number variances of the two inputs, the cross term the probed
-    signal quadrature.  Treating the probe classically removes its vacuum
-    fluctuation from the cross term, dropping exactly the sinh^2 r1 piece.
-    """
-    for stage in (config.storage, config.release):
-        if stage.chi2 != 0.0 or stage.chi3 != 0.0:
-            raise ParameterDomainError(
-                "the general variance form holds only with all control phases zero; "
-                f"got chi2={stage.chi2!r}, chi3={stage.chi3!r}"
-            )
-    variance, _ = count_difference_variance(config.r1, config.alpha2_mod, config.gamma,
-                                            config.release.phi - config.storage.phi,
-                                            config.probe_treatment)
+    """Count-difference variance at any stage angles: count_difference_variance
+    at one point."""
+    storage, release = config.storage, config.release
+    dchi = (release.chi3 - storage.chi3) - (release.chi2 - storage.chi2)
+    variance, _ = count_difference_variance(config.r1, config.alpha2_mod, config.gamma, storage.phi,
+                                            release.phi, dchi, config.probe_treatment)
     if not math.isfinite(variance[0]):
         raise ParameterDomainError(f"count-difference variance of {config!r} is not finite")
     return float(variance[0])
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def count_difference_variance(r1, alpha2_mod, gamma, dphi,
+def count_difference_variance(r1, alpha2_mod, gamma, phi0, phi1, dchi,
                               probe_treatment: str = PROBE_QUANTUM) -> tuple[np.ndarray, np.ndarray]:
-    """general_variance's W at P points, dphi being the release-minus-storage
-    mixing angle and every argument but the probe treatment a number or a
-    (P,) array.  Returns the (P,) variances and the mask of points with
-    alpha2_mod >= 0 and a finite W.  cosh and sinh are math's and squares
-    float_power's, so each point rounds as one evaluation with math would."""
+    """Variance W of K = a^dag M a, M = S^dag diag(1, -1) S, at P points, every
+    argument but the probe treatment a number or a (P,) array: phi0 and phi1
+    are the stage mixing angles and dchi = (chi31 - chi30) - (chi21 - chi20)
+    the only control-phase combination M depends on.  By Wick's theorem
+
+        W = M11^2 (sinh^2(2 r1)/2 + |alpha2|^2)
+          + |M21|^2 [|alpha2|^2 (cosh 2 r1 - sinh 2 r1 cos(2 gamma + 2 arg M21)) + sinh^2 r1];
+
+    a classical probe drops its vacuum term sinh^2 r1.  Returns the (P,)
+    variances and the mask of points with alpha2_mod >= 0 and a finite W.
+    Squares are float_power's and cosh, sinh math's.  At dchi = 0, lift, Im M21
+    and 2 arg M21 = arctan2(2 re im, re^2 - im^2) are +-0, so W rounds as the
+    zero-phase form did, also where 2 phi overflows."""
     cosh_2r, sinh_2r = cosh_sinh(2.0 * np.asarray(r1, dtype=float))
-    two_dphi = 2.0 * np.asarray(dphi, dtype=float)
+    phi0, phi1, dchi = (np.asarray(x, dtype=float) for x in (phi0, phi1, dchi))
+    two_dphi = 2.0 * (phi1 - phi0)
+    sin_0, cos_0, sin_2phi1 = np.sin(phi0), np.cos(phi0), 2.0 * np.sin(phi1) * np.cos(phi1)
+    # M11 = m11 and M21 = re + i im
+    lift = 2.0 * np.float_power(np.sin(0.5 * dchi), 2.0) * sin_2phi1
+    m11 = np.cos(two_dphi) - lift * (2.0 * sin_0 * cos_0)
+    re = np.sin(two_dphi) - lift * ((cos_0 - sin_0) * (cos_0 + sin_0))
+    im = -sin_2phi1 * np.sin(dchi)
+    re_sq, im_sq = np.float_power(re, 2.0), np.float_power(im, 2.0)
     a_sq = np.float_power(alpha2_mod, 2.0)
     direct = 0.5 * np.float_power(sinh_2r, 2.0) + a_sq
-    cross = a_sq * (cosh_2r - sinh_2r * np.cos(2.0 * np.asarray(gamma, dtype=float)))
+    angle = 2.0 * np.asarray(gamma, dtype=float) + np.arctan2(2.0 * re * im, re_sq - im_sq)
+    cross = a_sq * (cosh_2r - sinh_2r * np.cos(angle))
     if probe_treatment == PROBE_QUANTUM:
         cross = cross + np.float_power(cosh_sinh(r1)[1], 2.0)
-    variance = np.atleast_1d(np.float_power(np.cos(two_dphi), 2.0) * direct
-                             + np.float_power(np.sin(two_dphi), 2.0) * cross)
+    variance = np.atleast_1d(np.float_power(m11, 2.0) * direct + (re_sq + im_sq) * cross)
     return variance, np.isfinite(variance) & (np.asarray(alpha2_mod) >= 0)
 
 

@@ -255,9 +255,9 @@ class GramMatrix:
     def overlap_magnitude(self) -> float:
         return abs(self.s_overlap)
 
-    def is_unit_overlap(self, tol: float = UNIT_OVERLAP_TOL) -> bool:
-        """True when the packets coincide up to a phase, within ``tol``."""
-        return abs(1.0 - self.overlap_magnitude) <= tol
+    def is_unit_overlap(self) -> bool:
+        """True when the packets coincide up to a phase, within UNIT_OVERLAP_TOL."""
+        return abs(1.0 - self.overlap_magnitude) <= UNIT_OVERLAP_TOL
 
 
 def gram_from_packets(f1, f2, spacing: float) -> GramMatrix:

@@ -80,11 +80,21 @@ class TestGeneralVariance:
             second = general_variance(plain_config(r1, 2.0, gamma, phi0 + shift, phi0 + shift + 0.6))
             assert np.allclose(first, second, atol=1e-12)
 
-    def test_control_phases_must_vanish(self):
-        config = HomodyneConfig(0.3, 1.0, 0.0, StageAngles(0.1, 0.2, 0.0),
-                                StageAngles(0.5, 0.0, 0.0))
-        with pytest.raises(ParameterDomainError):
-            general_variance(config)
+    def test_matches_the_quantum_oracle_at_any_control_phases(self, rng):
+        for _ in range(8):
+            r1, amp = rng.uniform(0, 0.5), rng.uniform(0.3, 1.5)
+            gamma, *angles = rng.uniform(-7, 7, 7)
+            config = HomodyneConfig(r1, amp, gamma, StageAngles(*angles[:3]), StageAngles(*angles[3:]))
+            assert general_variance(config) == pytest.approx(homodyne_oracle(config, cutoff=60), rel=1e-12)
+
+    def test_common_control_phase_drops_out(self, rng):
+        for _ in range(20):
+            r1, amp = rng.uniform(-1, 1), rng.uniform(0, 3)
+            gamma, phi0, chi20, chi30, phi1, chi21, chi31, shift = rng.uniform(-7, 7, 8)
+            first, second = (general_variance(HomodyneConfig(
+                r1, amp, gamma, StageAngles(phi0, chi20, chi30),
+                StageAngles(phi1, chi21 + offset, chi31 + offset))) for offset in (0.0, shift))
+            assert second == pytest.approx(first, rel=1e-12)
 
 
 class TestGridKernel:
@@ -104,22 +114,28 @@ class TestGridKernel:
     @pytest.mark.parametrize("probe", [PROBE_QUANTUM, PROBE_CLASSICAL])
     def test_rows_are_the_single_point_variances(self, rng, probe):
         r1, amp = rng.uniform(-1.5, 1.5, 300), rng.uniform(0, 5, 300)
-        gamma, phi0, phi1 = rng.uniform(-7, 7, (3, 300))
-        variance, passed = count_difference_variance(r1, amp, gamma, phi1 - phi0, probe)
+        gamma, phi0, chi20, chi30, phi1, chi21, chi31 = rng.uniform(-7, 7, (7, 300))
+        dchi = (chi31 - chi30) - (chi21 - chi20)
+        variance, passed = count_difference_variance(r1, amp, gamma, phi0, phi1, dchi, probe)
         assert passed.all()
-        single = [general_variance(plain_config(*point, probe=probe))
-                  for point in zip(r1, amp, gamma, phi0, phi1)]
+        single = [general_variance(HomodyneConfig(r, a, g, StageAngles(p0, c20, c30), StageAngles(p1, c21, c31),
+                                                  probe_treatment=probe))
+                  for r, a, g, p0, c20, c30, p1, c21, c31
+                  in zip(r1, amp, gamma, phi0, chi20, chi30, phi1, chi21, chi31)]
         assert variance.tobytes() == np.array(single).tobytes()
 
     def test_mask_and_overflow(self):
         variance, passed = count_difference_variance(np.array([0.3, 400.0, 0.3]), np.array([1.0, 1.0, -1.0]),
-                                                     0.0, 0.3)
+                                                     0.0, 0.0, 0.3, 0.0)
         assert passed.tolist() == [True, False, False]
         with pytest.raises(ParameterDomainError, match="not finite"):
             general_variance(plain_config(400.0, 1.0, 0.0, 0.0, 0.3))
         # 2 dphi overflows: math.cos raised ValueError here
         with pytest.raises(ParameterDomainError, match="not finite"):
             general_variance(plain_config(0.3, 1.0, 0.0, -1e308, 1e308))
+        # 2 phi overflows at equal stage angles, which do not mix
+        assert general_variance(plain_config(0.3, 1.0, 0.0, 1e308, 1e308)) == \
+            general_variance(plain_config(0.3, 1.0, 0.0, 0.0, 0.0))
 
 
 class TestHomodyneOracle:
