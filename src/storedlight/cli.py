@@ -395,18 +395,43 @@ _KINDS = {
 
 @dataclass
 class Dataset:
-    """A finished run as one (rows, columns) float array, ready for CSV."""
+    """A finished run as one (rows, columns) float array, ready for CSV.
+
+    ``axis_counts`` holds the point counts of the sweep axes when the leading
+    ``len(axis_counts)`` columns are those axes in row-major product order:
+    axis k's value at row r is its ``(r // stride) % count``-th value, stride
+    being the product of the later axes' counts.  The default, no axes, makes
+    no claim about any column.
+    """
 
     columns: tuple
     values: np.ndarray
+    axis_counts: tuple = ()
 
     @property
     def rows(self) -> list:
         return list(map(tuple, self.values.tolist()))
 
     def to_csv_text(self) -> str:
-        template = ",".join([f"%.{SIGNIFICANT_DIGITS}g"] * len(self.columns)) + "\n"
-        return ",".join(self.columns) + "\n" + template * len(self.values) % tuple(self.values.ravel().tolist())
+        cell = f"%.{SIGNIFICANT_DIGITS}g"
+        header = ",".join(self.columns) + "\n"
+        axes = len(self.axis_counts)
+        if axes < 2:
+            # a single axis repeats no value, so prefixes would save nothing
+            template = ",".join([cell] * len(self.columns)) + "\n"
+            return header + template * len(self.values) % tuple(self.values.ravel().tolist())
+        # on a grid each axis value repeats across the later axes: format each
+        # once and join them into one prefix per row, written into the template
+        stride = len(self.values)
+        for k, count in enumerate(self.axis_counts):
+            stride //= count
+            axis_cell = f",{cell}" if k else cell
+            texts = [axis_cell % value for value in self.values[:stride * count:stride, k].tolist()]
+            prefixes = texts if k == 0 else [prefix + text for prefix in prefixes for text in texts]
+        rest = "".join([f",{cell}"] * (len(self.columns) - axes)) + "\n"
+        template = rest.join(prefixes) + rest
+        del prefixes   # the template holds them; free them before the values' strings exist
+        return header + template % tuple(self.values[:, axes:].ravel().tolist())
 
     def write(self, path: str) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
@@ -452,7 +477,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> Dataset:
             exc.args = (f"{exc} at {where}",) if where else exc.args
             raise
         raise InternalConsistencyError(f"sweep and single-point routes disagree at {where}")
-    return Dataset(columns=tuple(names) + kind.columns, values=values)
+    return Dataset(columns=tuple(names) + kind.columns, values=values,
+                   axis_counts=tuple(axis.count for axis in config.sweep))
 
 
 def run_single(config: ExperimentConfig) -> Dataset:
@@ -511,7 +537,8 @@ def run_figure(figure_id: int, workers: int = 1) -> Dataset:
     config = ExperimentConfig.from_mapping(json.loads(json.dumps(mapping)))
     dataset = run_experiment(config, workers=workers)
     wanted = tuple(axis.name for axis in config.sweep) + keep
-    return Dataset(wanted, dataset.values[:, [dataset.columns.index(name) for name in wanted]])
+    return Dataset(wanted, dataset.values[:, [dataset.columns.index(name) for name in wanted]],
+                   dataset.axis_counts)
 
 
 # ----------------------------------------------------------------------

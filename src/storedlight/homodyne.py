@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import CapacityError, ParameterDomainError
 from .fock_oracle import OccupationBasis
-from .gaussian_states import cosh_sinh
+from .gaussian_states import _exp_pair, _scaled, cosh_sinh
 from .mode_transform import StageAngles, TransferMatrix, build_transfer_matrix
 
 PROBE_QUANTUM = "quantum"
@@ -113,14 +113,19 @@ def count_difference_variance(r1, alpha2_mod, gamma, phi0, phi1, dchi,
     the only control-phase combination M depends on.  By Wick's theorem
 
         W = M11^2 (sinh^2(2 r1)/2 + |alpha2|^2)
-          + |M21|^2 [|alpha2|^2 (cosh 2 r1 - sinh 2 r1 cos(2 gamma + 2 arg M21)) + sinh^2 r1];
+          + |M21|^2 [|alpha2|^2 (e^(-2 r1) cos^2 h + e^(2 r1) sin^2 h) + sinh^2 r1],
+        h = gamma + arg M21 (mod pi, which cos^2 and sin^2 do not see);
 
-    a classical probe drops its vacuum term sinh^2 r1.  Returns the (P,)
-    variances and the mask of points with alpha2_mod >= 0 and a finite W.
-    Squares are float_power's and cosh, sinh math's.  At dchi = 0, lift, Im M21
-    and 2 arg M21 = arctan2(2 re im, re^2 - im^2) are +-0, so W rounds as the
-    zero-phase form did, also where 2 phi overflows."""
-    cosh_2r, sinh_2r = cosh_sinh(2.0 * np.asarray(r1, dtype=float))
+    a classical probe drops its vacuum term sinh^2 r1.  The probed quadrature
+    is cosh 2 r1 - sinh 2 r1 cos 2h written without its cancellation on the
+    squeezed axis, and an exactly zero weight of e^(+-2 r1) stays zero where
+    the scale overflows.  Returns the (P,) variances and the mask of points
+    with alpha2_mod >= 0 and a finite W.  Squares are float_power's, cosh,
+    sinh and exp math's.  At dchi = 0, lift, Im M21 and
+    2 arg M21 = arctan2(2 re im, re^2 - im^2) are +-0, so h is gamma and W
+    rounds as the zero-phase form does, also where 2 phi overflows."""
+    two_r = 2.0 * np.asarray(r1, dtype=float)
+    sinh_2r = cosh_sinh(two_r)[1]
     phi0, phi1, dchi = (np.asarray(x, dtype=float) for x in (phi0, phi1, dchi))
     two_dphi = 2.0 * (phi1 - phi0)
     sin_0, cos_0, sin_2phi1 = np.sin(phi0), np.cos(phi0), 2.0 * np.sin(phi1) * np.cos(phi1)
@@ -132,8 +137,10 @@ def count_difference_variance(r1, alpha2_mod, gamma, phi0, phi1, dchi,
     re_sq, im_sq = np.float_power(re, 2.0), np.float_power(im, 2.0)
     a_sq = np.float_power(alpha2_mod, 2.0)
     direct = 0.5 * np.float_power(sinh_2r, 2.0) + a_sq
-    angle = 2.0 * np.asarray(gamma, dtype=float) + np.arctan2(2.0 * re * im, re_sq - im_sq)
-    cross = a_sq * (cosh_2r - sinh_2r * np.cos(angle))
+    h = np.asarray(gamma, dtype=float) + 0.5 * np.arctan2(2.0 * re * im, re_sq - im_sq)
+    shrink, stretch = _exp_pair(two_r)
+    cross = a_sq * (_scaled(np.float_power(np.cos(h), 2.0), shrink)
+                    + _scaled(np.float_power(np.sin(h), 2.0), stretch))
     if probe_treatment == PROBE_QUANTUM:
         cross = cross + np.float_power(cosh_sinh(r1)[1], 2.0)
     variance = np.atleast_1d(np.float_power(m11, 2.0) * direct + (re_sq + im_sq) * cross)

@@ -436,7 +436,32 @@ def _single_point_succeeds(n, m, delta):
     return True
 
 
+# float cells, with the edge cases of "%.12g" drawn often
+CSV_FLOATS = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, math.inf, -math.inf, math.nan, 1e308, -1e308]),
+                       st.floats(width=64))
+
+
+def per_cell_csv(columns, values) -> str:
+    """The formatter before grids formatted their axis values once: one
+    "%.12g" template cell per CSV cell."""
+    template = ",".join(["%.12g"] * len(columns)) + "\n"
+    return ",".join(columns) + "\n" + template * len(values) % tuple(values.ravel().tolist())
+
+
 class TestDataset:
+    @given(data=st.data(), counts=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+           value_columns=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_grid_csv_is_the_per_cell_template(self, data, counts, value_columns, seed):
+        axes = [data.draw(st.lists(CSV_FLOATS, min_size=count, max_size=count)) for count in counts]
+        grid = [coords.ravel() for coords in np.meshgrid(*map(np.array, axes), indexing="ij")]
+        pool = data.draw(st.lists(CSV_FLOATS, min_size=1, max_size=12))
+        cells = np.random.default_rng(seed).choice(pool, (len(grid[0]), value_columns))
+        values = np.column_stack([*grid, cells])
+        columns = tuple(f"axis{k}" for k in range(len(counts))) + tuple(f"v{k}" for k in range(value_columns))
+        text = Dataset(columns, values, tuple(counts)).to_csv_text()
+        assert text == per_cell_csv(columns, values)
+
     def test_csv_cells(self):
         dataset = Dataset(columns=("i", "x"), values=np.array([
             (0, -0.0), (64, 5e-324), (3, 1.7976931348623157e308), (1, 1 / 3), (2, -2.5e-300),
@@ -574,12 +599,18 @@ class TestMainEntry:
         assert main(["eval", "--kind", "quadratures", "--set", f"r1={r1}"]) == 0
         assert capsys.readouterr().out.splitlines()[1].split(",")[2] == var_q
 
+    def test_squeezed_axis_homodyne_keeps_its_digits(self, capsys):
+        # |alpha2|^2 e^(-20) plus the direct term, rounded from 50-digit mpmath
+        assert main(["eval", "--kind", "homodyne", "--set", "r1=10", "--set", "alpha2_mod=1",
+                     "--set", "phi1=pi/4", "--set", "probe=classical"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "2.06115373276e-09"
+
     @pytest.mark.parametrize("figure,digest", [
         (1, "25b6664ee04cd24de6a1608070e54496a024eb90b29af4ecd6fbdbd16c6e953b"),
         (2, "3f36c57ecff0414292322d0d1fc5fc7cfc702a0b2d22bbba6080095671639b34"),
         (3, "238b3861172fa7b41a29f67a67915524c16d3f0b6b62353097962728e1caf1e3"),
         (4, "47563d4156a137778bc293817e6e00dfa45dfc15e3de7f3405f1171e8076b4ed"),
-        (5, "aa9d14a99412179c6c61ef329876b6c208da61107de4ae5d65c07c5685a9b4ba"),
+        (5, "dac1ff768dc03806f8de7fe1b28ec45c6ddaaf1c2eb730047f3b474b6fcbc128"),
     ])
     def test_figure_digests(self, figure, digest, tmp_path):
         out = tmp_path / "fig.csv"
@@ -602,7 +633,15 @@ class TestMainEntry:
           "--set", "sweep.alpha2_mod.count=6", "--set", "sweep.gamma.start=0",
           "--set", "sweep.gamma.stop=2*pi", "--set", "sweep.gamma.count=13"],
          "b88c612474d87741b59db4cad2d3192ec05519c74590ced38d1f1c3056f0fa60"),
-    ], ids=["eval-unit-overlap", "eval-partial-overlap", "quadratures-sweep", "homodyne-classical-sweep"])
+        (["sweep", "--set", "kind=quadratures", "--set", "r2=-0.3", "--set", "alpha1_re=1.5",
+          "--set", "alpha1_im=-0.5", "--set", "alpha2_re=-0.25", "--set", "alpha2_im=2.0",
+          "--set", "phi0=pi/5", "--set", "chi20=0.4",
+          "--set", "sweep.phi1.start=0", "--set", "sweep.phi1.stop=pi/2", "--set", "sweep.phi1.count=5",
+          "--set", "sweep.r1.start=-1.5", "--set", "sweep.r1.stop=2", "--set", "sweep.r1.count=3",
+          "--set", "sweep.chi31.start=0", "--set", "sweep.chi31.stop=2*pi", "--set", "sweep.chi31.count=7"],
+         "02b7183be728af8669a7444972db8c219069420c340fbeca6071707baf5ae481"),
+    ], ids=["eval-unit-overlap", "eval-partial-overlap", "quadratures-sweep", "homodyne-classical-sweep",
+            "quadratures-three-axis-sweep"])
     def test_output_digests(self, command, digest, tmp_path):
         out = tmp_path / "out.csv"
         if command[0] == "sweep":

@@ -105,11 +105,35 @@ class TestGridKernel:
             probe = (PROBE_QUANTUM, PROBE_CLASSICAL)[int(rng.integers(2))]
             two_dphi = 2.0 * (phi1 - phi0)
             direct = 0.5 * math.sinh(2.0 * r1) ** 2 + amp ** 2
-            cross = amp ** 2 * (math.cosh(2.0 * r1) - math.sinh(2.0 * r1) * math.cos(2.0 * gamma))
+            cross = amp ** 2 * (math.exp(-2.0 * r1) * math.cos(gamma) ** 2
+                                + math.exp(2.0 * r1) * math.sin(gamma) ** 2)
             cross += math.sinh(r1) ** 2 if probe == PROBE_QUANTUM else 0.0
             expected = math.cos(two_dphi) ** 2 * direct + math.sin(two_dphi) ** 2 * cross
             got = general_variance(plain_config(r1, amp, gamma, phi0, phi1, probe=probe))
             assert got.hex() == expected.hex()
+
+    # W at |alpha2| = 1 from 50-digit mpmath, M built from the rotations and
+    # phases of the transfer matrix and the cross term as cosh 2r1 - sinh 2r1
+    # cos(2 gamma + 2 arg M21), at these float inputs; the first two settings
+    # read the squeezed axis, where that difference cancels in doubles
+    @pytest.mark.parametrize("r1,probe,gamma,phi0,phi1,dchi,reference", [
+        (10.0, PROBE_CLASSICAL, 0.0, 0.0, math.pi / 4, 0.0, 2.0611537327577318e-9),
+        (10.0, PROBE_CLASSICAL, math.pi, 0.0, math.pi / 4, 0.0, 2.0611537327577391e-9),
+        (10.0, PROBE_CLASSICAL, 0.7, 0.3, 1.1, 0.4, 125217555352737.01),
+        (10.0, PROBE_QUANTUM, 0.0, 0.0, math.pi / 4, 0.0, 121291298.35244757),
+        (10.0, PROBE_QUANTUM, math.pi, 0.0, math.pi / 4, 0.0, 121291298.35244757),
+        (10.0, PROBE_QUANTUM, 0.7, 0.3, 1.1, 0.4, 125217676127850.4),
+        (15.0, PROBE_CLASSICAL, 0.0, 0.0, math.pi / 4, 0.0, 5.3523117162111124e-8),
+        (15.0, PROBE_CLASSICAL, math.pi, 0.0, math.pi / 4, 0.0, 5.3523117162271396e-8),
+        (15.0, PROBE_CLASSICAL, 0.7, 0.3, 1.1, 0.4, 6.0751167627215475e+22),
+        (15.0, PROBE_QUANTUM, 0.0, 0.0, math.pi / 4, 0.0, 2671618645380.6155),
+        (15.0, PROBE_QUANTUM, math.pi, 0.0, math.pi / 4, 0.0, 2671618645380.6155),
+        (15.0, PROBE_QUANTUM, 0.7, 0.3, 1.1, 0.4, 6.0751167629875724e+22),
+    ])
+    def test_strong_squeezing_keeps_its_digits(self, r1, probe, gamma, phi0, phi1, dchi, reference):
+        (variance,), passed = count_difference_variance(r1, 1.0, gamma, phi0, phi1, dchi, probe)
+        assert passed.all()
+        assert variance == pytest.approx(reference, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("probe", [PROBE_QUANTUM, PROBE_CLASSICAL])
     def test_rows_are_the_single_point_variances(self, rng, probe):
