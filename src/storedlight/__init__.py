@@ -4,8 +4,8 @@ The package models a memory that stores two light pulses as collective spin
 excitations and releases them in two stages.  The storage and release settings
 act on the two excitation channels like a beam splitter, so photon-count
 statistics, quadrature variances and homodyne signals can all be driven by the
-stage angles.  Closed-form predictions live next to brute-force oracles in a
-truncated number basis so every formula can be cross-checked numerically.
+stage angles.  Closed-form predictions come with brute-force oracles, kept in
+their own module, so every formula can be cross-checked numerically.
 """
 
 from .errors import (
@@ -27,19 +27,9 @@ from .fock_interference import (
     release_distribution_unit_overlap,
     release_variance,
 )
-from .fock_oracle import (
-    ModeBasis,
-    OccupationBasis,
-    TruncatedState,
-    build_fock_input,
-    oracle_distribution,
-    oracle_moments,
-    released_number_operator,
-)
 from .gaussian_states import (
     QuadratureStats,
     SqueezedInput,
-    gaussian_oracle,
     released_quadratures,
     uncertainty_product,
 )
@@ -49,7 +39,6 @@ from .homodyne import (
     HomodyneConfig,
     balanced_variance,
     general_variance,
-    homodyne_oracle,
 )
 from .mode_transform import (
     GramMatrix,
@@ -59,6 +48,17 @@ from .mode_transform import (
     global_phase_distance,
     gram_from_packets,
     magnetic_phase_matrix,
+)
+from .oracles import (
+    ModeBasis,
+    OccupationBasis,
+    TruncatedState,
+    build_fock_input,
+    gaussian_oracle,
+    homodyne_oracle,
+    oracle_distribution,
+    oracle_moments,
+    released_number_operator,
 )
 
 __version__ = "0.1.0"

@@ -10,12 +10,9 @@ and p is stretched accordingly.  Both stored packets are taken identical here
 (unit overlap), which makes every released observable a function of the
 transfer-matrix row of the observed channel.
 
-Two independent computation routes are provided: closed-form means and
-variances obtained through the eigenvalue property, and a Gaussian oracle that
-propagates the 4x4 quadrature covariance matrix through the symplectic image
-of the transfer matrix.  The closed form is one array kernel,
-quadrature_moments, over the transfer rows of P points; released_quadratures
-is that kernel at one point.
+Means and variances follow in closed form from the eigenvalue property.  The
+closed form is one array kernel, quadrature_moments, over the transfer rows
+of P points; released_quadratures is that kernel at one point.
 """
 
 from __future__ import annotations
@@ -31,12 +28,6 @@ from .mode_transform import TransferMatrix
 
 # Slack on the Heisenberg bound var_q * var_p >= 1/4 before declaring a bug.
 HEISENBERG_SLACK = 1e-12
-
-# Symplectic eigenvalues of a pure Gaussian state must equal 1/2 to this
-# tolerance after transport through the transfer matrix.
-PURITY_TOL = 1e-10
-
-VACUUM_VARIANCE = 0.5
 
 
 @dataclass(frozen=True)
@@ -92,30 +83,17 @@ class QuadratureStats:
             )
 
 
-def cosh_sinh(r):
-    """math.cosh and math.sinh at a number or at each entry of an array, as
-    two arrays, infinite where math overflows.  numpy's cosh and sinh differ
-    from math's in the last bit on about a quarter of inputs."""
-    pairs = []
-    for x in np.ravel(r).tolist():
+def elementwise(function, x) -> np.ndarray:
+    """A math function such as math.exp or math.sinh at a number or at each
+    entry of an array, as an array of x's shape, infinite with x's sign where
+    math overflows.  numpy's sinh differs from math's in the last bit on
+    about a quarter of inputs, its exp on about one in twenty."""
+    def one(value):
         try:
-            pairs.append((math.cosh(x), math.sinh(x)))
+            return function(value)
         except OverflowError:
-            pairs.append((math.inf, math.copysign(math.inf, x)))
-    return np.reshape(pairs, (-1, 2)).T.reshape(2, *np.shape(r))
-
-
-def _exp_pair(r):
-    """math.exp(-r) and math.exp(r) like cosh_sinh gives math.cosh and math.sinh."""
-    pairs = [(_exp(-x), _exp(x)) for x in np.ravel(r).tolist()]
-    return np.reshape(pairs, (-1, 2)).T.reshape(2, *np.shape(r))
-
-
-def _exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
+            return math.copysign(math.inf, value)
+    return np.reshape([one(value) for value in np.ravel(x).tolist()], np.shape(x))
 
 
 def _scaled(part, scale):
@@ -147,7 +125,7 @@ def quadrature_moments(row, r1, r2, alpha1, alpha2) -> tuple[np.ndarray, np.ndar
     QuadratureStats' HEISENBERG_SLACK check, which implies its positivity.
     """
     row = np.asarray(row, dtype=complex)
-    scales = [_exp_pair(r1), _exp_pair(r2)]
+    scales = [(elementwise(math.exp, np.negative(r)), elementwise(math.exp, r)) for r in (r1, r2)]
     moments = []
     for factor in ((1.0, 0.0), (-0.0, -1.0)):   # 1 for q, -1j for p
         u1, u2 = [], []
@@ -182,76 +160,3 @@ def uncertainty_product(stats: QuadratureStats) -> float:
             f"uncertainty product of var_q={stats.var_q!r} and var_p={stats.var_p!r} overflows")
     return product
 
-
-# ----------------------------------------------------------------------
-# covariance-matrix oracle
-
-def squeezed_covariance_block(zeta: complex) -> np.ndarray:
-    """2x2 quadrature covariance of a squeezed state, squeezing parameter
-    zeta = r e^{i theta}; theta/2 rotates the squeezed axis away from q."""
-    zeta = complex(zeta)
-    r, theta = abs(zeta), cmath.phase(zeta)
-    core = np.diag([math.exp(-2.0 * r), math.exp(2.0 * r)]) * VACUUM_VARIANCE
-    half = 0.5 * theta
-    rot = np.array([[math.cos(half), -math.sin(half)], [math.sin(half), math.cos(half)]])
-    return rot @ core @ rot.T
-
-
-def displaced_mean(alpha: complex, zeta: complex) -> np.ndarray:
-    """Quadrature mean vector (q, p) of the displaced squeezed state."""
-    zeta = complex(zeta)
-    r, theta = abs(zeta), cmath.phase(zeta)
-    a_mean = math.cosh(r) * alpha - cmath.exp(1j * theta) * math.sinh(r) * alpha.conjugate()
-    return np.array([math.sqrt(2.0) * a_mean.real, math.sqrt(2.0) * a_mean.imag])
-
-
-def transfer_symplectic(transfer: TransferMatrix) -> np.ndarray:
-    """4x4 real symplectic matrix acting on (q1, p1, q2, p2) the way the
-    transfer matrix acts on the mode operators."""
-    out = np.zeros((4, 4))
-    s = transfer.matrix
-    for j in range(2):
-        for k in range(2):
-            re, im = s[j, k].real, s[j, k].imag
-            out[2 * j:2 * j + 2, 2 * k:2 * k + 2] = [[re, -im], [im, re]]
-    return out
-
-
-def symplectic_eigenvalues(covariance: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum of a 2n x 2n covariance matrix, ascending."""
-    n = covariance.shape[0] // 2
-    j_block = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    omega = np.kron(np.eye(n), j_block)
-    values = np.abs(np.linalg.eigvals(1j * omega @ covariance))
-    return np.sort(values)[::2]
-
-
-def gaussian_oracle(inputs: SqueezedInput, transfer: TransferMatrix,
-                    channel: int = 1) -> QuadratureStats:
-    """Quadrature moments via covariance-matrix transport, independent of the
-    closed forms.  The symplectic spectrum is checked to remain at the pure
-    value 1/2 before the channel block is read off."""
-    mean = np.concatenate([
-        displaced_mean(inputs.alpha1, inputs.r1),
-        displaced_mean(inputs.alpha2, inputs.r2),
-    ])
-    cov = np.zeros((4, 4))
-    cov[0:2, 0:2] = squeezed_covariance_block(inputs.r1)
-    cov[2:4, 2:4] = squeezed_covariance_block(inputs.r2)
-    sym = transfer_symplectic(transfer)
-    mean_out = sym @ mean
-    cov_out = sym @ cov @ sym.T
-    spectrum = symplectic_eigenvalues(cov_out)
-    if np.max(np.abs(spectrum - VACUUM_VARIANCE)) > PURITY_TOL:
-        raise InternalConsistencyError(
-            f"transported state lost purity: symplectic spectrum {spectrum}"
-        )
-    offset = 2 * (channel - 1)
-    if channel not in (1, 2):
-        raise ParameterDomainError(f"channel must be 1 or 2, got {channel!r}")
-    return QuadratureStats(
-        mean_q=float(mean_out[offset]),
-        mean_p=float(mean_out[offset + 1]),
-        var_q=float(cov_out[offset, offset]),
-        var_p=float(cov_out[offset + 1, offset + 1]),
-    )

@@ -1,22 +1,30 @@
-"""Brute-force reference calculations in a four-mode Fock space.
+"""Brute-force verifiers of the closed forms, kept off the production path:
+no closed-form module imports this one, and no oracle shares algebra with the
+closed form it checks.
 
-The two stored wave packets span a two-dimensional single-photon subspace.
-Choosing an orthonormal (Schmidt) pair e1, e2 with
+Fock oracle.  For packet overlap s, an orthonormal (Schmidt) pair e1, e2 with
 
-    f1 = e1,          f2 = s e1 + sqrt(1 - |s|^2) e2,
+    f1 = e1,          f2 = s e1 + sqrt(1 - |s|^2) e2
 
-where s is the packet overlap, every packet operator becomes a 4-vector of
-coefficients over four independent bosonic modes (two channels times two
-Schmidt components), and a released photon-number operator the 4x4 one-body
-matrix h of sum_jk h_jk a_j^dag a_k.  Only the total-photon sector holding
-the input state is enumerated; h conserves the photon count of each Schmidt
-component, so that sector splits into blocks that are diagonalised densely
-one at a time.  No interference algebra enters, so the results serve as an
-independent check of the closed forms.
+makes every packet operator a 4-vector of coefficients over four bosonic
+modes (two channels times two Schmidt components) and a released
+photon-number operator the 4x4 one-body matrix h of sum_jk h_jk a_j^dag a_k.
+Only the input's total-photon sector is enumerated; h conserves the photon
+count of each Schmidt component, so that sector splits into blocks that are
+diagonalised densely one at a time.
+
+Homodyne oracle.  Squeezed vacuum times a coherent probe in a two-mode number
+basis cut at a total photon number, with the count difference applied sector
+by sector; a classical probe leaves only the signal mode quantum.
+
+Covariance oracle.  The inputs' 4x4 quadrature covariance and means are
+transported through the symplectic image of the transfer matrix, and the
+symplectic spectrum is checked to stay pure.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from typing import Optional
@@ -25,7 +33,12 @@ import numpy as np
 
 from .errors import CapacityError, InternalConsistencyError, ParameterDomainError
 from .fock_interference import ReleaseDistribution
+from .gaussian_states import QuadratureStats, SqueezedInput
+from .homodyne import PROBE_CLASSICAL, HomodyneConfig
 from .mode_transform import GramMatrix, TransferMatrix
+
+# ----------------------------------------------------------------------
+# Fock oracle
 
 DEFAULT_CUTOFF = 8
 
@@ -77,10 +90,6 @@ class OccupationBasis:
                 f"of {self.total} photons"
             )
         return rows
-
-    def sector_indices(self, total: int) -> np.ndarray:
-        """Rows of all basis states with the given total photon number."""
-        return np.arange(self.dim if total == self.total else 0)
 
     def raised(self, coefficients, amplitudes) -> tuple["OccupationBasis", np.ndarray]:
         """sum_k c_k a_k^dag applied to amplitudes over this basis: the basis
@@ -290,10 +299,208 @@ def oracle_distribution(state: TruncatedState, number_op) -> ReleaseDistribution
     return ReleaseDistribution(probs)
 
 
+def _moments(psi: np.ndarray, image: np.ndarray) -> tuple[float, float]:
+    """Mean and variance of a Hermitian operator in the normalized state psi,
+    image being the operator applied to psi."""
+    mean = float(np.real(np.vdot(psi, image)))
+    return mean, float(np.real(np.vdot(image, image))) - mean * mean
+
+
 def oracle_moments(state: TruncatedState, number_op) -> tuple[float, float]:
     """Mean and variance of the released count, straight from matrix algebra."""
     _require_closed_sector(state)
-    image = state.basis.apply(number_op, state.amplitudes)
-    mean = float(np.real(np.vdot(state.amplitudes, image)))
-    second = float(np.real(np.vdot(image, image)))
-    return mean, second - mean * mean
+    return _moments(state.amplitudes, state.basis.apply(number_op, state.amplitudes))
+
+
+# ----------------------------------------------------------------------
+# homodyne oracle
+
+HOMODYNE_CUTOFF = 32
+
+# Probability mass the truncated input state may lose beyond the cutoff.
+TAIL_TOL = 1e-10
+
+# A transfer matrix counts as balanced when all intensity splittings are
+# within this distance of one half.
+BALANCED_TOL = 1e-12
+
+
+def _squeezed_vacuum_coefficients(r: float, count: int) -> np.ndarray:
+    """Number-basis amplitudes of squeezed vacuum, indices 0..count-1."""
+    coeffs = np.zeros(count)
+    coeffs[0] = 1.0 / math.sqrt(math.cosh(r))
+    tanh = math.tanh(r)
+    for k in range(2, count, 2):
+        coeffs[k] = -coeffs[k - 2] * tanh * math.sqrt((k - 1) / k)
+    return coeffs
+
+
+def _coherent_coefficients(alpha: complex, count: int) -> np.ndarray:
+    """Number-basis amplitudes of a coherent state, indices 0..count-1."""
+    coeffs = np.zeros(count, dtype=complex)
+    coeffs[0] = math.exp(-0.5 * abs(alpha) ** 2)
+    for k in range(1, count):
+        coeffs[k] = coeffs[k - 1] * alpha / math.sqrt(k)
+    return coeffs
+
+
+def _check_tail(r: float, alpha: complex, cutoff: int) -> None:
+    """Fail with a cutoff suggestion when the product state keeps less than
+    1 - TAIL_TOL of its mass at or below the total-number cutoff."""
+    search = min(4096, max(4 * cutoff, 256, int(abs(alpha) ** 2 + 10.0 * abs(alpha)) + 64))
+    p1 = _squeezed_vacuum_coefficients(r, search) ** 2
+    p2 = np.abs(_coherent_coefficients(alpha, search)) ** 2
+    mass = np.cumsum(np.convolve(p1, p2))
+    tail = 1.0 - mass[cutoff]
+    if tail > TAIL_TOL:
+        enough = np.nonzero(mass >= 1.0 - TAIL_TOL)[0]
+        hint = int(enough[0]) if enough.size else None
+        raise CapacityError(
+            f"truncation at total photon number {cutoff} loses probability {tail:.3e}; "
+            + (f"a cutoff of {hint} suffices" if hint is not None else
+               "the state is too large for this oracle"),
+            required=hint,
+        )
+
+
+def _quantum_oracle(config: HomodyneConfig, cutoff: int) -> float:
+    """(squeezed vacuum) x (coherent probe) evolved through the transfer
+    matrix.  The difference operator K conserves total photon number, so each
+    sector of N photons (N + 1 states) is taken on its own and a total-number
+    truncation is exact apart from the input tail."""
+    _check_tail(config.r1, config.alpha2, cutoff)
+    sq = _squeezed_vacuum_coefficients(config.r1, cutoff + 1)
+    coh = _coherent_coefficients(config.alpha2, cutoff + 1)
+
+    # K = sum_jk w_jk a_j^dag a_k with w = S^dag diag(1, -1) S
+    s = config.transfer.matrix
+    weights = np.outer(s[0].conj(), s[0]) - np.outer(s[1].conj(), s[1])
+    sectors = [OccupationBasis(2, total) for total in range(cutoff + 1)]
+    parts = [sq[basis.states[:, 0]] * coh[basis.states[:, 1]] for basis in sectors]
+    image = np.concatenate([basis.apply(weights, part) for basis, part in zip(sectors, parts)])
+    psi = np.concatenate(parts)
+    norm = np.linalg.norm(psi)
+    return _moments(psi / norm, image / norm)[1]
+
+
+def _classical_oracle(config: HomodyneConfig, cutoff: int) -> float:
+    """Probe replaced by its amplitude; only the signal mode stays quantum.
+
+    The direct (number-difference) part of the observable then carries no
+    probe noise, so this route is faithful exactly when that part vanishes,
+    i.e. for balanced mixing, and is restricted accordingly.
+    """
+    s = config.transfer.matrix
+    splittings = np.abs(s) ** 2
+    if np.max(np.abs(splittings - 0.5)) > BALANCED_TOL:
+        raise ParameterDomainError(
+            "the classical-probe oracle is defined for balanced mixing only; "
+            f"intensity splittings are {splittings.ravel()}"
+        )
+    kappa = s[0, 0].conjugate() * s[0, 1] - s[1, 0].conjugate() * s[1, 1]
+    c = kappa * config.alpha2
+
+    sq = _squeezed_vacuum_coefficients(config.r1, cutoff + 1)
+    tail = 1.0 - float(np.sum(sq ** 2))
+    if tail > TAIL_TOL:
+        raise CapacityError(
+            f"squeezed vacuum loses probability {tail:.3e} at cutoff {cutoff}",
+            required=None,
+        )
+    lower = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), 1)
+    operator = c * lower.conj().T + c.conjugate() * lower
+    return _moments(sq, operator @ sq)[1]
+
+
+def homodyne_oracle(config: HomodyneConfig, cutoff: int = HOMODYNE_CUTOFF) -> float:
+    """Truncated Fock-space variance of the released count difference.
+
+    Honors probe_treatment: the quantum route keeps both modes, the classical
+    route replaces the probe by a c-number and requires balanced mixing.
+    """
+    if cutoff < 2:
+        raise ParameterDomainError(f"cutoff must be at least 2, got {cutoff}")
+    if config.probe_treatment == PROBE_CLASSICAL:
+        return _classical_oracle(config, cutoff)
+    return _quantum_oracle(config, cutoff)
+
+
+# ----------------------------------------------------------------------
+# covariance-matrix oracle
+
+# Symplectic eigenvalues of a pure Gaussian state must equal 1/2 to this
+# tolerance after transport through the transfer matrix.
+PURITY_TOL = 1e-10
+
+VACUUM_VARIANCE = 0.5
+
+
+def squeezed_covariance_block(zeta: complex) -> np.ndarray:
+    """2x2 quadrature covariance of a squeezed state, squeezing parameter
+    zeta = r e^{i theta}; theta/2 rotates the squeezed axis away from q."""
+    zeta = complex(zeta)
+    r, theta = abs(zeta), cmath.phase(zeta)
+    core = np.diag([math.exp(-2.0 * r), math.exp(2.0 * r)]) * VACUUM_VARIANCE
+    half = 0.5 * theta
+    rot = np.array([[math.cos(half), -math.sin(half)], [math.sin(half), math.cos(half)]])
+    return rot @ core @ rot.T
+
+
+def displaced_mean(alpha: complex, zeta: complex) -> np.ndarray:
+    """Quadrature mean vector (q, p) of the displaced squeezed state."""
+    zeta = complex(zeta)
+    r, theta = abs(zeta), cmath.phase(zeta)
+    a_mean = math.cosh(r) * alpha - cmath.exp(1j * theta) * math.sinh(r) * alpha.conjugate()
+    return np.array([math.sqrt(2.0) * a_mean.real, math.sqrt(2.0) * a_mean.imag])
+
+
+def transfer_symplectic(transfer: TransferMatrix) -> np.ndarray:
+    """4x4 real symplectic matrix acting on (q1, p1, q2, p2) the way the
+    transfer matrix acts on the mode operators."""
+    out = np.zeros((4, 4))
+    s = transfer.matrix
+    for j in range(2):
+        for k in range(2):
+            re, im = s[j, k].real, s[j, k].imag
+            out[2 * j:2 * j + 2, 2 * k:2 * k + 2] = [[re, -im], [im, re]]
+    return out
+
+
+def symplectic_eigenvalues(covariance: np.ndarray) -> np.ndarray:
+    """Symplectic spectrum of a 2n x 2n covariance matrix, ascending."""
+    n = covariance.shape[0] // 2
+    j_block = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    omega = np.kron(np.eye(n), j_block)
+    values = np.abs(np.linalg.eigvals(1j * omega @ covariance))
+    return np.sort(values)[::2]
+
+
+def gaussian_oracle(inputs: SqueezedInput, transfer: TransferMatrix,
+                    channel: int = 1) -> QuadratureStats:
+    """Quadrature moments via covariance-matrix transport, independent of the
+    closed forms.  The symplectic spectrum is checked to remain at the pure
+    value 1/2 before the channel block is read off."""
+    mean = np.concatenate([
+        displaced_mean(inputs.alpha1, inputs.r1),
+        displaced_mean(inputs.alpha2, inputs.r2),
+    ])
+    cov = np.zeros((4, 4))
+    cov[0:2, 0:2] = squeezed_covariance_block(inputs.r1)
+    cov[2:4, 2:4] = squeezed_covariance_block(inputs.r2)
+    sym = transfer_symplectic(transfer)
+    mean_out = sym @ mean
+    cov_out = sym @ cov @ sym.T
+    spectrum = symplectic_eigenvalues(cov_out)
+    if np.max(np.abs(spectrum - VACUUM_VARIANCE)) > PURITY_TOL:
+        raise InternalConsistencyError(
+            f"transported state lost purity: symplectic spectrum {spectrum}"
+        )
+    offset = 2 * (channel - 1)
+    if channel not in (1, 2):
+        raise ParameterDomainError(f"channel must be 1 or 2, got {channel!r}")
+    return QuadratureStats(
+        mean_q=float(mean_out[offset]),
+        mean_p=float(mean_out[offset + 1]),
+        var_q=float(cov_out[offset, offset]),
+        var_p=float(cov_out[offset + 1, offset + 1]),
+    )

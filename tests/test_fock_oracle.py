@@ -72,8 +72,6 @@ class TestOccupationBasis:
             assert basis.dim == math.comb(total + modes - 1, modes - 1)
             assert (basis.states.sum(axis=1) == total).all()
             assert sorted(map(tuple, basis.states)) == list(map(tuple, basis.states))
-            assert basis.sector_indices(total).tolist() == list(range(basis.dim))
-            assert basis.sector_indices(total + 1).size == 0
 
 
 class TestModeBasis:

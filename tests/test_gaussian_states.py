@@ -15,10 +15,9 @@ from storedlight import (
     released_quadratures,
     uncertainty_product,
 )
-from storedlight.gaussian_states import (
+from storedlight.gaussian_states import elementwise, quadrature_moments
+from storedlight.oracles import (
     VACUUM_VARIANCE,
-    cosh_sinh,
-    quadrature_moments,
     squeezed_covariance_block,
     symplectic_eigenvalues,
     transfer_symplectic,
@@ -163,13 +162,14 @@ class TestGridKernel:
 
     def test_hyperbolic_functions_are_maths(self, rng):
         r = np.concatenate([rng.normal(0, 3, 1000), [0.0, -0.0, 710.0, 711.0, -711.0]])
-        cosh, sinh = cosh_sinh(r)
-        assert cosh.shape == sinh.shape == r.shape
+        sinh, exp = elementwise(math.sinh, r), elementwise(math.exp, r)
+        assert sinh.shape == exp.shape == r.shape
         with np.errstate(over="ignore"):
-            expected = [(math.cosh(x), math.sinh(x)) if abs(x) < 711 else (np.cosh(x), np.sinh(x))
+            expected = [(math.sinh(x) if abs(x) < 711 else np.sinh(x), math.exp(x) if x < 709.5 else np.exp(x))
                         for x in r.tolist()]
-        assert np.array(expected).T.tobytes() == np.array([cosh, sinh]).tobytes()
-        assert [float(x) for x in cosh_sinh(0.5)] == [math.cosh(0.5), math.sinh(0.5)]
+        assert np.array(expected).T.tobytes() == np.array([sinh, exp]).tobytes()
+        assert exp[-1] == math.exp(-711.0) > 0.0
+        assert [float(elementwise(f, 0.5)) for f in (math.sinh, math.exp)] == [math.sinh(0.5), math.exp(0.5)]
 
 
 class TestValidation:

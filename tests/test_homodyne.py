@@ -135,6 +135,44 @@ class TestGridKernel:
         assert passed.all()
         assert variance == pytest.approx(reference, rel=1e-14, abs=0.0)
 
+    # W to 40 digits from 400-digit mpmath, M = S^dag diag(1, -1) S with S
+    # built from the six stage angles and the cross term as cosh 2r1 -
+    # sinh 2r1 cos(2 gamma + 2 arg M21), at these float inputs; columns are
+    # r1, probe, |alpha2|, (gamma, phi0, chi20, chi30, phi1, chi21, chi31) and
+    # W.  W overflows near |r1| = 177.
+    @pytest.mark.parametrize("r1,probe,amp,angles,reference", [
+        (60.0, PROBE_QUANTUM, 0.98, (1.9588, -0.4582, -1.813, -2.0312, 4.0673, 5.672, -4.5171),
+         4.958226065442510925114698291739979952579e+102),
+        (60.0, PROBE_CLASSICAL, 3.3, (-2.8238, 6.5375, 5.8779, 1.9022, 3.5382, 0.2122, 4.5625),
+         4.400829847234229738529800467233925221033e+102),
+        (-60.0, PROBE_QUANTUM, 2.3, (-2.2566, -3.1094, -3.8313, 0.3614, -0.9672, 2.2845, -6.8202),
+         3.39628298397769315182072195789916914479e+102),
+        (-60.0, PROBE_CLASSICAL, 2.29, (-1.8875, -4.2644, 1.3281, -0.9056, -2.8001, -4.0682, 5.2447),
+         1.172519634845605150536865927306802629739e+103),
+        (120.0, PROBE_QUANTUM, 4.01, (1.4939, -2.1686, 6.2555, 0.8873, -0.9413, 5.6063, -2.5292),
+         3.172810844428395748420996439215535047616e+207),
+        (120.0, PROBE_CLASSICAL, 3.51, (-2.6065, -3.3383, 2.8118, -3.8095, -0.0965, 1.1204, -4.3553),
+         3.1735328204710840847075500485166916032e+207),
+        (-120.0, PROBE_QUANTUM, 3.68, (0.6788, 1.701, -1.79, -1.1173, -0.0724, -0.4204, 2.4589),
+         3.460568004551285532629458446654369710847e+207),
+        (-120.0, PROBE_CLASSICAL, 2.93, (-1.1722, -6.9748, 4.1164, 0.2714, -2.4284, -0.0006, -5.6918),
+         3.066920896576141522499835774160204242113e+206),
+        (175.0, PROBE_QUANTUM, 4.53, (6.8563, -6.1777, -1.9848, 3.2209, -2.6007, 0.9387, -1.168),
+         3.899970243959067812943042683043001502943e+302),
+        (175.0, PROBE_CLASSICAL, 3.89, (6.4185, 5.4375, 1.6931, -4.7562, 6.2589, -6.6691, -2.8321),
+         2.911081667298125859663474551735888109973e+301),
+        (-175.0, PROBE_QUANTUM, 1.48, (2.4056, -0.1769, -5.6996, -6.82, 1.4604, -0.1192, 1.4193),
+         9.118510094733252461503715062879238986767e+302),
+        (-175.0, PROBE_CLASSICAL, 2.86, (5.4664, 5.8576, -4.3644, 6.1897, 4.0282, 1.9464, 2.2345),
+         1.629777712205927407601966967069122441944e+302),
+    ])
+    def test_large_squeezing_at_random_angles(self, r1, probe, amp, angles, reference):
+        gamma, phi0, chi20, chi30, phi1, chi21, chi31 = angles
+        dchi = (chi31 - chi30) - (chi21 - chi20)
+        (variance,), passed = count_difference_variance(r1, amp, gamma, phi0, phi1, dchi, probe)
+        assert passed.all()
+        assert variance == pytest.approx(reference, rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("probe", [PROBE_QUANTUM, PROBE_CLASSICAL])
     def test_rows_are_the_single_point_variances(self, rng, probe):
         r1, amp = rng.uniform(-1.5, 1.5, 300), rng.uniform(0, 5, 300)
