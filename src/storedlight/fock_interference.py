@@ -86,12 +86,20 @@ def _guard_checks(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return in_range, np.abs(raw.sum(axis=-1) - 1.0) <= SUM_TOL
 
 
+def _frozen_clip(raw: np.ndarray) -> np.ndarray:
+    clipped = np.clip(raw, 0.0, 1.0)
+    clipped.flags.writeable = False
+    return clipped
+
+
 class ReleaseDistribution:
     """Probability vector for the photon count in output channel 1.
 
     Index i holds the probability of releasing i photons there, i running from
     0 to the stored total.  Entries are validated against small negative or
-    above-one excursions and the vector must be normalized.
+    above-one excursions and the vector must be normalized.  The guard checks
+    run once per vector: release_distribution builds a row that its kernel's
+    mask already passed through _from_checked, which skips them.
     """
 
     def __init__(self, probabilities):
@@ -107,9 +115,15 @@ class ReleaseDistribution:
             raise InternalConsistencyError(
                 f"probabilities sum to {raw.sum():.12f}, expected 1 within {SUM_TOL:.1e}"
             )
-        clipped = np.clip(raw, 0.0, 1.0)
-        clipped.flags.writeable = False
-        self._probs = clipped
+        self._probs = _frozen_clip(raw)
+
+    @classmethod
+    def _from_checked(cls, raw: np.ndarray) -> "ReleaseDistribution":
+        """A distribution from a float row that already passed _guard_checks:
+        clipped and frozen, not checked again."""
+        distribution = cls.__new__(cls)
+        distribution._probs = _frozen_clip(raw)
+        return distribution
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -154,6 +168,17 @@ def _jy_eigenvectors(total: int) -> np.ndarray:
     return vectors
 
 
+@functools.lru_cache(maxsize=MAX_TOTAL_PHOTONS + 1)
+def _unit_overlap_constants(n: int, total: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only per-(n, total) factors of _unit_overlap_block: the J_y
+    eigenvalues k - total/2, k = 0..total, and row n of the conjugated
+    eigenvectors."""
+    eigenvalues = np.arange(total + 1) - total / 2
+    column_weights = _jy_eigenvectors(total)[n].conj()
+    eigenvalues.flags.writeable = column_weights.flags.writeable = False
+    return eigenvalues, column_weights
+
+
 def _unit_overlap_block(n: int, m: int, entries: np.ndarray) -> np.ndarray:
     """Raw count probabilities for n and m photons in fully overlapping
     packets, a row per column of the (4, P) entries.
@@ -164,10 +189,10 @@ def _unit_overlap_block(n: int, m: int, entries: np.ndarray) -> np.ndarray:
     comes from the eigenvectors V of J_y and its exact eigenvalues mu, which
     is backward stable (Feng et al., PRE 92, 043307, 2015).
     """
-    total = n + m
-    vectors = _jy_eigenvectors(total)
+    vectors = _jy_eigenvectors(n + m)
+    eigenvalues, column_weights = _unit_overlap_constants(n, n + m)
     beta = 2.0 * np.arctan2(np.abs(entries[1]), np.abs(entries[0]))
-    scaled = np.exp(-1j * np.multiply.outer(beta, np.arange(total + 1) - total / 2)) * vectors[n].conj()
+    scaled = np.exp(-1j * np.multiply.outer(beta, eigenvalues)) * column_weights
     # a broadcast product summed over its contiguous last axis rounds every
     # row alike at any P, where matmul's rounding depends on the BLAS blocks
     column = (vectors * scaled[:, None, :]).sum(axis=-1)
@@ -239,19 +264,26 @@ def release_probabilities(n: int, m: int, entries, overlap=1.0) -> tuple[np.ndar
     the (4, P) array of S11, S12, S21, S22 and the packet-overlap magnitude
     |s|, a number or a (P,) array.  |s| within UNIT_OVERLAP_TOL of 1 counts
     as 1: a chunk all at unit overlap takes the unit-overlap closed form, any
-    other the mixture, which gives the same rows bit for bit at |s| = 1.
+    other the mixture, which gives the same rows bit for bit at |s| = 1.  A
+    single number at unit overlap with at most one chunk of points goes to the
+    unit-overlap form in one call; its rows round alike at any P, so that
+    gives the chunked result bit for bit.
     Returns the unclipped (P, n + m + 1) block and the (P,) mask of rows that
     pass ReleaseDistribution's PROBABILITY_GUARD and SUM_TOL checks."""
     entries = np.asarray(entries, dtype=complex)
-    overlap = np.broadcast_to(np.asarray(overlap, dtype=float), entries.shape[1:])
-    raw = np.empty((entries.shape[1], n + m + 1))
-    for first in range(0, len(raw), GRID_CHUNK):
-        rows = slice(first, first + GRID_CHUNK)
-        unit = np.abs(1.0 - overlap[rows]) <= UNIT_OVERLAP_TOL
-        if unit.all():
-            raw[rows] = _unit_overlap_block(n, m, entries[:, rows])
-        else:
-            raw[rows] = _mixture_block(n, m, np.where(unit, 1.0, overlap[rows]), entries[:, rows])
+    overlap = np.asarray(overlap, dtype=float)
+    if overlap.ndim == 0 and entries.shape[1] <= GRID_CHUNK and abs(1.0 - overlap) <= UNIT_OVERLAP_TOL:
+        raw = _unit_overlap_block(n, m, entries)
+    else:
+        overlap = np.broadcast_to(overlap, entries.shape[1:])
+        raw = np.empty((entries.shape[1], n + m + 1))
+        for first in range(0, len(raw), GRID_CHUNK):
+            rows = slice(first, first + GRID_CHUNK)
+            unit = np.abs(1.0 - overlap[rows]) <= UNIT_OVERLAP_TOL
+            if unit.all():
+                raw[rows] = _unit_overlap_block(n, m, entries[:, rows])
+            else:
+                raw[rows] = _mixture_block(n, m, np.where(unit, 1.0, overlap[rows]), entries[:, rows])
     in_range, normalised = _guard_checks(raw)
     return raw, in_range & normalised
 
@@ -273,9 +305,16 @@ def release_distribution_unit_overlap(fock_input: FockInput, transfer: TransferM
 
 def release_distribution(fock_input: FockInput, transfer: TransferMatrix) -> ReleaseDistribution:
     """Exact photon-count distribution in output channel 1 at any packet
-    overlap: release_probabilities at one point, validated."""
-    entries = [[transfer.s11], [transfer.s12], [transfer.s21], [transfer.s22]]
-    raw, _ = release_probabilities(fock_input.n, fock_input.m, entries, fock_input.overlap.overlap_magnitude)
+    overlap: release_probabilities at one point, validated.  The guard checks
+    run once, in release_probabilities: a row its mask passes becomes the
+    distribution without a second check, and a failing row goes through
+    ReleaseDistribution's own checks to raise their message, with the route
+    appended."""
+    entries = np.array((transfer.s11, transfer.s12, transfer.s21, transfer.s22)).reshape(4, 1)
+    raw, passed = release_probabilities(fock_input.n, fock_input.m, entries,
+                                        fock_input.overlap.overlap_magnitude)
+    if passed[0]:
+        return ReleaseDistribution._from_checked(raw[0])
     try:
         return ReleaseDistribution(raw[0])
     except InternalConsistencyError as exc:

@@ -24,12 +24,18 @@ from storedlight import (
     InternalConsistencyError,
     ParameterDomainError,
     SimulationError,
+    StageAngles,
+    build_transfer_matrix,
+    fock_interference,
     magnetic_phase_matrix,
     mean_release_count,
+    release_distribution,
     release_distribution_unit_overlap,
     release_variance,
 )
 from storedlight.cli import (
+    CACHED_AXIS_POINTS,
+    MAX_TOTAL_PHOTONS,
     Dataset,
     ExperimentConfig,
     apply_overrides,
@@ -156,6 +162,20 @@ class TestExpressionParser:
     ])
     def test_forms_python_would_read_differently(self, text, value):
         assert parse_number_expression(text) == value
+
+    @pytest.mark.parametrize("value", [[1], {}, None])
+    def test_non_strings_are_configuration_errors(self, value):
+        with pytest.raises(ExperimentConfigError, match="expected an expression string"):
+            parse_number_expression(value)
+
+    @pytest.mark.parametrize("text", ["pi/", "1/0", "2pi", "(1"])
+    def test_errors_repeat_on_every_call(self, text):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ExperimentConfigError) as raised:
+                parse_number_expression(text)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
 
     @pytest.mark.parametrize("text", [
         "0x10", "1_0", "1j", "2**3", "True", "nan", "pi()", "1 # comment", "\uff50\uff49", "pi.real",
@@ -462,6 +482,25 @@ class TestDataset:
         text = Dataset(columns, values, tuple(counts)).to_csv_text()
         assert text == per_cell_csv(columns, values)
 
+    def test_axes_beyond_the_cache_are_the_per_cell_template(self, rng):
+        for points in (CACHED_AXIS_POINTS, CACHED_AXIS_POINTS + 1):
+            axis = np.where(rng.random(points) < 0.3, rng.choice([0.0, -0.0], points), rng.normal(0, 3, points))
+            values = np.column_stack((axis, rng.normal(0, 1, points)))
+            assert Dataset(("x", "v"), values, (points,)).to_csv_text() == per_cell_csv(("x", "v"), values)
+
+    def test_full_distribution_csv_is_the_per_cell_template(self, capsys):
+        # the count column comes from cached row prefixes at every total
+        angles = np.random.default_rng(13).uniform(-7, 7, 6).tolist()
+        names = ("phi0", "chi20", "chi30", "phi1", "chi21", "chi31")
+        transfer = build_transfer_matrix(StageAngles(*angles[:3]), StageAngles(*angles[3:]))
+        for total in range(MAX_TOTAL_PHOTONS + 1):
+            n = total // 3
+            assert main(["eval", "--kind", "fock-distribution", "--set", f"n={n}", "--set", f"m={total - n}",
+                         *[arg for name, angle in zip(names, angles) for arg in ("--set", f"{name}={angle!r}")]]) == 0
+            probabilities = release_distribution(FockInput(n, total - n), transfer).probabilities
+            values = np.column_stack((np.arange(total + 1), probabilities))
+            assert capsys.readouterr().out == per_cell_csv(("i", "probability"), values), total
+
     def test_csv_cells(self):
         dataset = Dataset(columns=("i", "x"), values=np.array([
             (0, -0.0), (64, 5e-324), (3, 1.7976931348623157e308), (1, 1 / 3), (2, -2.5e-300),
@@ -681,6 +720,14 @@ class TestMainEntry:
         ])
         gaps = [float(gap) for gap in self.run_python(probe).split()]
         assert len(gaps) == 2 and max(gaps) < 1e-10
+
+    def test_failing_row_exits_1_with_the_route(self, monkeypatch, capsys):
+        monkeypatch.setattr(fock_interference, "_unit_overlap_block",
+                            lambda n, m, entries: np.full((entries.shape[1], n + m + 1), 1.5 / (n + m + 1)))
+        assert main(["eval", "--kind", "fock-distribution", "--set", "n=3", "--set", "m=2",
+                     "--set", "delta=1.3"]) == 1
+        assert capsys.readouterr().err == ("error: InternalConsistencyError: probabilities sum to "
+                                           "1.500000000000, expected 1 within 1.0e-10 (unit-overlap closed form)\n")
 
     def test_runtime_errors_exit_1(self, capsys):
         code = main(["eval", "--kind", "fock-distribution",

@@ -437,6 +437,28 @@ class TestArrayKernel:
         with pytest.raises(InternalConsistencyError, match=r"\(partial-overlap closed form\)"):
             release_distribution(partial, magnetic_phase_matrix(1.3))
 
+    @given(photon_pairs, st.tuples(*[st.floats(-7, 7, allow_nan=False)] * 6),
+           st.sampled_from([1.0, 1.0 - 5e-9, 0.9, 0.5, 0.0]) | st.floats(0.0, 1.0))
+    @settings(max_examples=80, deadline=None)
+    def test_release_distribution_checks_once(self, pair, angles, s):
+        # the mask's row is the distribution the public constructor validates
+        n, m = pair[0], pair[1] - pair[0]
+        transfer = build_transfer_matrix(StageAngles(*angles[:3]), StageAngles(*angles[3:]))
+        entries = np.array([[transfer.s11], [transfer.s12], [transfer.s21], [transfer.s22]])
+        probabilities = release_distribution(FockInput(n, m, GramMatrix(s)), transfer).probabilities
+        checked = ReleaseDistribution(release_probabilities(n, m, entries, s)[0][0]).probabilities
+        assert probabilities.tobytes() == checked.tobytes()
+        assert not probabilities.flags.writeable
+
+    def test_failing_row_raises_the_full_message(self, monkeypatch):
+        # a row inside [0, 1] that sums to 1.5 fails only the normalisation check
+        monkeypatch.setattr(fock_interference, "_unit_overlap_block",
+                            lambda n, m, entries: np.full((entries.shape[1], n + m + 1), 1.5 / (n + m + 1)))
+        with pytest.raises(InternalConsistencyError) as raised:
+            release_distribution(FockInput(3, 2), magnetic_phase_matrix(1.3))
+        assert str(raised.value) == ("probabilities sum to 1.500000000000, expected 1 within 1.0e-10 "
+                                     "(unit-overlap closed form)")
+
 
 class TestUpToTheCap:
     @pytest.mark.parametrize("a,b,c", [(3, 4, 5), (20, 21, 29)])

@@ -16,6 +16,7 @@ from storedlight import (
     uncertainty_product,
 )
 from storedlight.gaussian_states import elementwise, quadrature_moments
+from storedlight.mode_transform import transfer_entries
 from storedlight.oracles import (
     VACUUM_VARIANCE,
     squeezed_covariance_block,
@@ -151,6 +152,43 @@ class TestGridKernel:
         assert moments[3].tolist() == [0.5 * (math.exp(x) * math.exp(x)) for x in r.tolist()]
         # e^(-20)/2 to 40 digits
         assert abs(moments[2, 0] / 1.030576811219278913982970190077910488188e-09 - 1) < 4e-16
+
+    # var_q and var_p to 40 digits from 400-digit mpmath: S11 and S12 built
+    # from the six stage angles, u_j = c_j cosh r_j - c_j* sinh r_j with
+    # c_j = S1j for q and -i S1j for p, and (|u_1|^2 + |u_2|^2)/2, at these
+    # float inputs; columns are r1, r2, (phi0, chi20, chi30, phi1, chi21,
+    # chi31), (alpha1_re, alpha1_im, alpha2_re, alpha2_im), var_q and var_p
+    @pytest.mark.parametrize("r1,r2,angles,alpha,var_q,var_p", [
+        (60.0, 2.19, (4.9742, 4.3543, -3.3398, -5.9192, 6.2505, 1.5931), (-2.98, 2.46, 2.91, -1.28),
+         2.079597091136974295854545576192451851132e+51, 1.517289232932597055796816754866255013455e+50),
+        (1.88, 60.0, (-5.8463, -0.8641, 4.4479, -1.2777, 0.2485, -5.3614), (1.88, -0.01, -1.51, 1.66),
+         1.234062664246238310773412941355612242439e+51, 3.668184609470366739544821161819523381189e+51),
+        (-60.0, 2.88, (0.5368, 3.3201, 6.8986, -6.5782, 1.3857, 6.5421), (-2.3, -1.66, 0.3, 1.33),
+         1.215598716469697246041728990431019922823e+51, 3.348363159353907913310314296475930887702e+51),
+        (0.32, -60.0, (0.6678, -6.2785, 3.3492, -2.5102, -5.9645, 6.4186), (0.96, -0.27, 1.4, -0.13),
+         5.73363417732394262254652321683057110878e+51, 9.54135944003020464342997792620016570315e+49),
+        (120.0, -2.25, (1.4641, 3.4571, 3.4181, 0.7219, 5.9989, 6.24), (2.25, -0.77, -1.39, 0.18),
+         5.384097116117010583409712950050391875513e+102, 4.04591629421561956665531074184677033285e+103),
+        (0.93, 120.0, (-4.7517, 0.8325, -0.8547, -6.9767, -1.1364, -1.4014), (2.78, -2.67, 2.57, 2.45),
+         4.425607616703575118521541267125896363264e+103, 6.498504375945447860343266243420552738553e+102),
+        (-120.0, 0.6, (-4.3788, 4.0783, -4.7387, -2.511, 2.3299, -1.0467), (-0.23, -1.18, -2.78, -0.84),
+         1.55872392110289094954154643324913383265e+103, 8.220082315653117953875594213583561335033e+100),
+        (1.96, -120.0, (4.6223, -5.8651, 0.7417, -2.0469, -1.4146, 6.8305), (1.86, 0.04, 0.04, 2.5),
+         3.288303932770435164261798857557189150352e+102, 1.539377993836218646108445262314385550103e+103),
+        (175.0, -0.75, (3.9466, 3.2139, 3.3228, -0.621, 2.5947, 4.7222), (-1.23, 1.58, -0.11, 0.21),
+         2.760656519076823570545414972561135831193e+151, 7.561471885716256725373872771687445199194e+150),
+        (-0.21, 175.0, (-1.7517, 3.5315, -1.5139, -4.4618, 4.0283, -1.4043), (0.47, 2.89, 0.89, 0.15),
+         9.221309577830412557167259487684567510661e+149, 7.568598331944544322419633489464125883959e+150),
+        (-175.0, -1.3, (2.9266, 6.4458, 2.9162, 3.7785, -2.5456, -2.6137), (-0.85, -0.13, 2.36, -0.2),
+         3.26608841190551748932563794185111763759e+151, 8.740189264595676805156322975261791082289e+150),
+        (-1.94, -175.0, (0.464, -3.3645, 1.9026, -2.2586, 6.3214, -0.8834), (0.5, 0.51, -0.52, 2.87),
+         7.015016940174623038418682753898933544765e+150, 1.407778584759957740762248663042455541921e+150),
+    ])
+    def test_large_squeezing_at_random_angles(self, r1, r2, angles, alpha, var_q, var_p):
+        moments, passed = quadrature_moments(transfer_entries(*angles)[:2], r1, r2, alpha[:2], alpha[2:])
+        assert passed.all()
+        assert moments[2, 0] == pytest.approx(var_q, rel=1e-12, abs=0.0)
+        assert moments[3, 0] == pytest.approx(var_p, rel=1e-12, abs=0.0)
 
     def test_overflow_is_a_domain_error(self):
         with pytest.raises(ParameterDomainError, match="overflow"):

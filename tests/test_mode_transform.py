@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +6,6 @@ from hypothesis import strategies as st
 from conftest import random_stage, random_transfer
 from storedlight import (
     GramMatrix,
-    InternalConsistencyError,
     NormalizationError,
     ParameterDomainError,
     StageAngles,
