@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import functools
 import json
 import math
 import operator
@@ -64,13 +63,6 @@ def parse_number_expression(text: str) -> float:
     """
     if not isinstance(text, str):
         raise ExperimentConfigError(f"expected an expression string, got {text!r}")
-    return _parse_text(text)
-
-
-# the values of a figure's or a sweep row's few expressions recur on every run;
-# an error raises afresh each time, since lru_cache stores only returns
-@functools.lru_cache(maxsize=256)
-def _parse_text(text: str) -> float:
     source = text if text.isascii() else "".join(str(int(c)) if c.isdecimal() else c for c in text)
     source = " ".join(source.split())
     if _NUMERAL.fullmatch(source):
@@ -424,16 +416,17 @@ class Dataset:
         cell = f"%.{SIGNIFICANT_DIGITS}g"
         header = ",".join(self.columns) + "\n"
         axes = len(self.axis_counts)
-        if not axes:
+        if axes < 2:
+            # a single axis repeats no value, so prefixes would save nothing
             template = ",".join([cell] * len(self.columns)) + "\n"
             return header + template * len(self.values) % tuple(self.values.ravel().tolist())
-        # on a grid each axis value repeats across the later axes, and an axis
-        # recurs across runs: take each axis's formatted values from a cache
-        # and join them into one prefix per row, written into the template
+        # on a grid each axis value repeats across the later axes: format each
+        # once and join them into one prefix per row, written into the template
         stride = len(self.values)
         for k, count in enumerate(self.axis_counts):
             stride //= count
-            texts = _axis_cells(f",{cell}" if k else cell, self.values[:stride * count:stride, k])
+            axis_cell = f",{cell}" if k else cell
+            texts = [axis_cell % value for value in self.values[:stride * count:stride, k].tolist()]
             prefixes = texts if k == 0 else [prefix + text for prefix in prefixes for text in texts]
         rest = "".join([f",{cell}"] * (len(self.columns) - axes)) + "\n"
         template = rest.join(prefixes) + rest
@@ -446,24 +439,6 @@ class Dataset:
 
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.columns.index(name)]
-
-
-# Axes up to this many points, such as a figure's axes or the counts 0..N of a
-# distribution, recur from run to run, and their formatted cells are cached.
-CACHED_AXIS_POINTS = 1024
-
-
-def _axis_cells(cell: str, axis: np.ndarray):
-    """cell % value for each value of a 1-d axis."""
-    if axis.size > CACHED_AXIS_POINTS:
-        return [cell % value for value in axis.tolist()]
-    return _cached_axis_cells(cell, np.asarray(axis, dtype=float).tobytes())
-
-
-@functools.lru_cache(maxsize=64)
-def _cached_axis_cells(cell: str, bits: bytes) -> tuple:
-    # keyed on the bytes, so that -0.0 and 0.0, which compare equal, stay apart
-    return tuple(cell % value for value in np.frombuffer(bits).tolist())
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> Dataset:
@@ -511,9 +486,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> Dataset:
 def run_single(config: ExperimentConfig) -> Dataset:
     """One-shot evaluation through the single-point route.  For the count
     distribution without an explicit target the full distribution is
-    returned, one row per count.  Its count column i = 0..N is declared a
-    sweep axis of N + 1 points, so the CSV writes it as row prefixes "k,",
-    formatted once per N and then taken from the axis cache."""
+    returned, one row per count."""
     if config.sweep:
         raise ExperimentConfigError("run_single does not accept sweep axes")
     if config.kind == "fock-distribution" and "i" not in config.provided:
@@ -521,7 +494,7 @@ def run_single(config: ExperimentConfig) -> Dataset:
         values = np.empty((probabilities.size, 2))
         values[:, 0] = np.arange(probabilities.size)
         values[:, 1] = probabilities
-        return Dataset(("i", "probability"), values, (probabilities.size,))
+        return Dataset(("i", "probability"), values)
     kind = _KINDS[config.kind]
     return Dataset(columns=kind.columns, values=np.array([kind.point(config.params)], dtype=float))
 

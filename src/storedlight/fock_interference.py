@@ -168,17 +168,6 @@ def _jy_eigenvectors(total: int) -> np.ndarray:
     return vectors
 
 
-@functools.lru_cache(maxsize=MAX_TOTAL_PHOTONS + 1)
-def _unit_overlap_constants(n: int, total: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only per-(n, total) factors of _unit_overlap_block: the J_y
-    eigenvalues k - total/2, k = 0..total, and row n of the conjugated
-    eigenvectors."""
-    eigenvalues = np.arange(total + 1) - total / 2
-    column_weights = _jy_eigenvectors(total)[n].conj()
-    eigenvalues.flags.writeable = column_weights.flags.writeable = False
-    return eigenvalues, column_weights
-
-
 def _unit_overlap_block(n: int, m: int, entries: np.ndarray) -> np.ndarray:
     """Raw count probabilities for n and m photons in fully overlapping
     packets, a row per column of the (4, P) entries.
@@ -189,10 +178,10 @@ def _unit_overlap_block(n: int, m: int, entries: np.ndarray) -> np.ndarray:
     comes from the eigenvectors V of J_y and its exact eigenvalues mu, which
     is backward stable (Feng et al., PRE 92, 043307, 2015).
     """
-    vectors = _jy_eigenvectors(n + m)
-    eigenvalues, column_weights = _unit_overlap_constants(n, n + m)
+    total = n + m
+    vectors = _jy_eigenvectors(total)
     beta = 2.0 * np.arctan2(np.abs(entries[1]), np.abs(entries[0]))
-    scaled = np.exp(-1j * np.multiply.outer(beta, eigenvalues)) * column_weights
+    scaled = np.exp(-1j * np.multiply.outer(beta, np.arange(total + 1) - total / 2)) * vectors[n].conj()
     # a broadcast product summed over its contiguous last axis rounds every
     # row alike at any P, where matmul's rounding depends on the BLAS blocks
     column = (vectors * scaled[:, None, :]).sum(axis=-1)

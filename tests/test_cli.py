@@ -34,7 +34,6 @@ from storedlight import (
     release_variance,
 )
 from storedlight.cli import (
-    CACHED_AXIS_POINTS,
     MAX_TOTAL_PHOTONS,
     Dataset,
     ExperimentConfig,
@@ -482,14 +481,7 @@ class TestDataset:
         text = Dataset(columns, values, tuple(counts)).to_csv_text()
         assert text == per_cell_csv(columns, values)
 
-    def test_axes_beyond_the_cache_are_the_per_cell_template(self, rng):
-        for points in (CACHED_AXIS_POINTS, CACHED_AXIS_POINTS + 1):
-            axis = np.where(rng.random(points) < 0.3, rng.choice([0.0, -0.0], points), rng.normal(0, 3, points))
-            values = np.column_stack((axis, rng.normal(0, 1, points)))
-            assert Dataset(("x", "v"), values, (points,)).to_csv_text() == per_cell_csv(("x", "v"), values)
-
     def test_full_distribution_csv_is_the_per_cell_template(self, capsys):
-        # the count column comes from cached row prefixes at every total
         angles = np.random.default_rng(13).uniform(-7, 7, 6).tolist()
         names = ("phi0", "chi20", "chi30", "phi1", "chi21", "chi31")
         transfer = build_transfer_matrix(StageAngles(*angles[:3]), StageAngles(*angles[3:]))
