@@ -294,8 +294,15 @@ def _count_kernel(grid: dict, entries: np.ndarray):
     if not (min(n, m) >= 0 and 0 <= target <= n + m <= MAX_TOTAL_PHOTONS):
         return [np.nan], False
     overlap = np.abs(grid["s"])
-    probs, passed = release_probabilities(n, m, entries, overlap)
-    return [np.clip(probs[:, target], 0.0, 1.0)], passed & (overlap <= 1.0 + OVERLAP_ROUNDING_TOL)
+    shape = entries.shape[1:]
+    if overlap.ndim:   # a swept overlap: the transfer broadcasts against it
+        shape = np.broadcast_shapes(shape, overlap.shape)
+        entries = np.broadcast_to(entries, (4, *shape))
+        overlap = np.broadcast_to(overlap, shape).reshape(-1)
+    # release_probabilities chunks flat (4, P) entries
+    probs, passed = release_probabilities(n, m, entries.reshape(4, -1), overlap)
+    passed &= overlap <= 1.0 + OVERLAP_ROUNDING_TOL
+    return [np.clip(probs[:, target], 0.0, 1.0).reshape(shape)], passed.reshape(shape)
 
 
 def _count_point(params: dict) -> tuple:
@@ -346,8 +353,10 @@ class _Kind(NamedTuple):
     # parameter name -> (type, default); type is "float" (expression-capable), "int" or "str"
     schema: dict
     columns: tuple
-    # (parameters, each a number or a (P,) array; (4, P) transfer entries)
-    # -> (value columns, each a number or a (P,) array; (P,) mask of passing points)
+    # (parameters, each a number or an array broadcastable to the grid;
+    #  (4, *grid) transfer entries whose grid axes may be 1)
+    # -> (value columns, each a number or an array broadcastable to the grid;
+    #     mask of passing points, broadcastable to the grid)
     kernel: Callable
     # parameters -> values at one point through the public scalar functions,
     # raising that point's own error
@@ -421,16 +430,19 @@ class Dataset:
             template = ",".join([cell] * len(self.columns)) + "\n"
             return header + template * len(self.values) % tuple(self.values.ravel().tolist())
         # on a grid each axis value repeats across the later axes: format each
-        # once and join them into one prefix per row, written into the template
+        # once, write the last axis and the value cells as one block of rows,
+        # and put each prefix of the leading axes in front of the block's rows
         stride = len(self.values)
+        prefixes = [""]
         for k, count in enumerate(self.axis_counts):
             stride //= count
             axis_cell = f",{cell}" if k else cell
             texts = [axis_cell % value for value in self.values[:stride * count:stride, k].tolist()]
-            prefixes = texts if k == 0 else [prefix + text for prefix in prefixes for text in texts]
+            if k < axes - 1:
+                prefixes = [prefix + text for prefix in prefixes for text in texts]
         rest = "".join([f",{cell}"] * (len(self.columns) - axes)) + "\n"
-        template = rest.join(prefixes) + rest
-        del prefixes   # the template holds them; free them before the values' strings exist
+        block = [text + rest for text in texts]
+        template = "".join([prefix + prefix.join(block) for prefix in prefixes])
         return header + template % tuple(self.values[:, axes:].ravel().tolist())
 
     def write(self, path: str) -> None:
@@ -443,7 +455,8 @@ class Dataset:
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> Dataset:
     """Evaluate the configured quantity over its sweep grid in one array pass
-    through the kind's kernel.
+    through the kind's kernel.  Each axis is its own grid dimension, and the
+    kernel's columns broadcast over them.
 
     Rows are emitted in row-major order of the sweep axes as declared.  At the
     first point, in that order, that fails a check, the single-point route
@@ -455,23 +468,29 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> Dataset:
     kind = _KINDS[config.kind]
     names = [axis.name for axis in config.sweep]
     axes = [axis.values() for axis in config.sweep]
-    if len(axes) > 1:
-        axes = [coords.ravel() for coords in np.meshgrid(*axes, indexing="ij")]
-    size = axes[0].size if axes else 1
-    grid = {**config.params, **dict(zip(names, axes))}
-    entries = np.broadcast_to(
-        magnetic_phase_entries(grid["delta"]) if grid.get("delta") is not None
-        else transfer_entries(*(grid.get(key, 0.0) for key in _ANGLE_KEYS)), (4, size))
+    # axis k runs along grid dimension k, so a function of one parameter
+    # runs once per value of its axis; no sweep is a grid of one point
+    shape = tuple(axis.count for axis in config.sweep) or (1,)
+    along = axes if len(axes) < 2 else [
+        coords.reshape([-1 if j == k else 1 for j in range(len(axes))]) for k, coords in enumerate(axes)]
+    grid = {**config.params, **dict(zip(names, along))}
+    entries = (magnetic_phase_entries(grid["delta"]) if grid.get("delta") is not None
+               else transfer_entries(*(grid.get(key, 0.0) for key in _ANGLE_KEYS)))
+    if entries.ndim <= len(shape):   # no swept angle: one transfer for the whole grid
+        entries = entries.reshape(4, *[1] * len(shape))
     with np.errstate(all="ignore"):
         columns, passed = kind.kernel(grid, entries)
-    values = np.empty((size, len(names) + len(kind.columns)))
-    for k, column in enumerate([*axes, *columns]):
-        values[:, k] = column
-    passed = (passed & (unitarity_defects(entries) <= UNITARITY_TOL)
-              & np.isfinite(values[:, len(names):]).all(axis=1))
+    values = np.empty((*shape, len(names) + len(kind.columns)))
+    for k, column in enumerate([*along, *columns]):
+        values[..., k] = column
+    passed = passed & (unitarity_defects(entries) <= UNITARITY_TOL)
+    for k in range(len(names), values.shape[-1]):
+        passed = passed & np.isfinite(values[..., k])
+    if len(shape) > 1:
+        values = values.reshape(-1, values.shape[-1])
     if not passed.all():
-        row = int(np.argmin(passed))
-        point = {**config.params, **{name: float(axis[row]) for name, axis in zip(names, axes)}}
+        index = np.unravel_index(np.argmin(passed), shape)
+        point = {**config.params, **{name: float(axis[i]) for name, axis, i in zip(names, axes, index)}}
         where = ", ".join(f"{name}={point[name]!r}" for name in names)
         try:
             kind.point(point)

@@ -100,8 +100,13 @@ def elementwise(function, x) -> np.ndarray:
 
 def _scaled(part, scale):
     """part * scale for a scale e^(+-r): an exactly zero part contributes its
-    zero even where the scale has overflowed, instead of 0 * inf = nan."""
-    return np.where(part == 0.0, part, part * scale)
+    zero even where the scale has overflowed, instead of 0 * inf = nan.  A
+    finite scale times +-0 is already +-0, so only an overflowed one needs
+    the substitution."""
+    product = part * scale
+    if np.isfinite(scale).all():
+        return product
+    return np.where(part == 0.0, part, product)
 
 
 def _product(a, b):
@@ -114,17 +119,20 @@ def _product(a, b):
 @np.errstate(over="ignore", invalid="ignore")
 def quadrature_moments(row, r1, r2, alpha1, alpha2) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form moments of the released channel whose transfer-matrix row
-    is (S_c1, S_c2), at P points: row is a (2, P) complex array, r1 and r2
-    numbers or (P,) arrays, alpha1 and alpha2 (real, imaginary) pairs of them.
+    is (S_c1, S_c2), over a grid of points: row is a (2, ...) complex array
+    whose trailing axes broadcast to the grid, r1 and r2 numbers or arrays
+    broadcastable to the grid, alpha1 and alpha2 (real, imaginary) pairs of
+    them.
 
     Input A_j enters the released quadrature with weight
     u_j = c_j cosh r_j - c_j* sinh r_j = x_j e^(-r_j) + i y_j e^(r_j) for
     c_j = x_j + i y_j, which is S_cj for q and -i S_cj for p.  The mean is
     sqrt(2) Re(u_1 alpha_1 + u_2 alpha_2) and the variance, at any
     displacement, (|u_1|^2 + |u_2|^2)/2: no cosh - sinh is left to cancel as
-    |r| grows.  Returns the (4, P) array of mean_q, mean_p, var_q, var_p and
-    the (P,) mask of points where all four are finite and pass
-    QuadratureStats' HEISENBERG_SLACK check, which implies its positivity.
+    |r| grows.  Returns the (4, ...) array of mean_q, mean_p, var_q, var_p,
+    over the broadcast shape of the inputs, and the mask of points where all
+    four are finite and pass QuadratureStats' HEISENBERG_SLACK check, which
+    implies its positivity.
     """
     row = np.asarray(row, dtype=complex)
     scales = [(elementwise(math.exp, np.negative(r)), elementwise(math.exp, r)) for r in (r1, r2)]

@@ -96,9 +96,9 @@ def general_variance(config: HomodyneConfig) -> float:
 @np.errstate(over="ignore", invalid="ignore")
 def count_difference_variance(r1, alpha2_mod, gamma, phi0, phi1, dchi,
                               probe_treatment: str = PROBE_QUANTUM) -> tuple[np.ndarray, np.ndarray]:
-    """Variance W of K = a^dag M a, M = S^dag diag(1, -1) S, at P points, every
-    argument but the probe treatment a number or a (P,) array: phi0 and phi1
-    are the stage mixing angles and dchi = (chi31 - chi30) - (chi21 - chi20)
+    """Variance W of K = a^dag M a, M = S^dag diag(1, -1) S, over a grid of
+    points, every argument but the probe treatment a number or an array
+    broadcastable to the grid: phi0 and phi1 are the stage mixing angles and dchi = (chi31 - chi30) - (chi21 - chi20)
     the only control-phase combination M depends on.  By Wick's theorem
 
         W = M11^2 (sinh^2(2 r1)/2 + |alpha2|^2)
@@ -108,20 +108,29 @@ def count_difference_variance(r1, alpha2_mod, gamma, phi0, phi1, dchi,
     a classical probe drops its vacuum term sinh^2 r1.  The probed quadrature
     is cosh 2 r1 - sinh 2 r1 cos 2h written without its cancellation on the
     squeezed axis, and an exactly zero weight of e^(+-2 r1) stays zero where
-    the scale overflows.  Returns the (P,) variances and the mask of points
-    with alpha2_mod >= 0 and a finite W.  Squares are float_power's, sinh and
-    exp math's.  At dchi = 0, lift, Im M21 and
+    the scale overflows.  Where 2 (phi1 - phi0) overflows, cos and sin of it
+    come from the double-angle forms in phi1 - phi0.  Returns the variances,
+    at least one-dimensional over the broadcast shape of the arguments, and
+    the mask of points with alpha2_mod >= 0 and a finite W.  Squares are
+    float_power's, sinh and exp math's.  At dchi = 0, lift, Im M21 and
     2 arg M21 = arctan2(2 re im, re^2 - im^2) are +-0, so h is gamma and W
     rounds as the zero-phase form does, also where 2 phi overflows."""
     two_r = 2.0 * np.asarray(r1, dtype=float)
     sinh_2r = elementwise(math.sinh, two_r)
     phi0, phi1, dchi = (np.asarray(x, dtype=float) for x in (phi0, phi1, dchi))
-    two_dphi = 2.0 * (phi1 - phi0)
+    dphi = phi1 - phi0
+    two_dphi = 2.0 * dphi
+    cos_2dphi, sin_2dphi = np.cos(two_dphi), np.sin(two_dphi)
+    if not np.isfinite(two_dphi).all():
+        cos_d, sin_d = np.cos(dphi), np.sin(dphi)
+        overflow = np.isinf(two_dphi)
+        cos_2dphi = np.where(overflow, (cos_d - sin_d) * (cos_d + sin_d), cos_2dphi)
+        sin_2dphi = np.where(overflow, 2.0 * sin_d * cos_d, sin_2dphi)
     sin_0, cos_0, sin_2phi1 = np.sin(phi0), np.cos(phi0), 2.0 * np.sin(phi1) * np.cos(phi1)
     # M11 = m11 and M21 = re + i im
     lift = 2.0 * np.float_power(np.sin(0.5 * dchi), 2.0) * sin_2phi1
-    m11 = np.cos(two_dphi) - lift * (2.0 * sin_0 * cos_0)
-    re = np.sin(two_dphi) - lift * ((cos_0 - sin_0) * (cos_0 + sin_0))
+    m11 = cos_2dphi - lift * (2.0 * sin_0 * cos_0)
+    re = sin_2dphi - lift * ((cos_0 - sin_0) * (cos_0 + sin_0))
     im = -sin_2phi1 * np.sin(dchi)
     re_sq, im_sq = np.float_power(re, 2.0), np.float_power(im, 2.0)
     a_sq = np.float_power(alpha2_mod, 2.0)

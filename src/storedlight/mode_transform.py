@@ -110,22 +110,20 @@ class TransferMatrix:
 
 
 def _unitarity_deviations(a, b, c, d):
-    """Entries of S+S - 1 and SS+ - 1, for complex numbers or arrays alike."""
-    return (
-        a.conjugate() * a + c.conjugate() * c - 1.0,
-        a.conjugate() * b + c.conjugate() * d,
-        b.conjugate() * b + d.conjugate() * d - 1.0,
-        a * a.conjugate() + b * b.conjugate() - 1.0,
-        a * c.conjugate() + b * d.conjugate(),
-        c * c.conjugate() + d * d.conjugate() - 1.0,
-    )
+    """Entries of S+S - 1 and SS+ - 1, for complex numbers or arrays alike:
+    the four diagonal ones from the squared norms of the entries, then the two
+    off-diagonal ones."""
+    na, nb, nc, nd = (z.real * z.real + z.imag * z.imag for z in (a, b, c, d))
+    return (na + nc - 1.0, nb + nd - 1.0, na + nb - 1.0, nc + nd - 1.0,
+            a.conjugate() * b + c.conjugate() * d, a * c.conjugate() + b * d.conjugate())
 
 
 def unitarity_defects(entries) -> np.ndarray:
-    """TransferMatrix.unitarity_defect at every point of a (4, P) array of
-    S11, S12, S21, S22, NaN where an entry is not finite.  numpy's complex
-    products fuse multiply-adds, so the last bits may differ from the method."""
-    return np.max(np.abs(_unitarity_deviations(*np.asarray(entries, dtype=complex))), axis=0)
+    """TransferMatrix.unitarity_defect at every point of a (4, ...) array of
+    S11, S12, S21, S22, NaN or infinite where an entry is not finite.  numpy's
+    complex products fuse multiply-adds, so the last bits may differ from the
+    method."""
+    return np.maximum.reduce([abs(x) for x in _unitarity_deviations(*np.asarray(entries, dtype=complex))])
 
 
 # The entry formulas work on Python numbers with math and cmath, and on numpy
@@ -175,11 +173,17 @@ def build_transfer_matrix(storage: StageAngles, release: StageAngles) -> Transfe
 
 
 def transfer_entries(phi0, chi20, chi30, phi1, chi21, chi31) -> np.ndarray:
-    """The (4, P) array of S11, S12, S21, S22 that build_transfer_matrix
+    """The (4, *grid) array of S11, S12, S21, S22 that build_transfer_matrix
     gives at each point of a grid of storage angles (phi0, chi20, chi30) and
-    release angles (phi1, chi21, chi31), each a number or a (P,) array.
+    release angles (phi1, chi21, chi31), each a number or an array
+    broadcastable to the grid; grid is their broadcast shape, (1,) when all
+    are numbers.  cos, sin and exp run once per value an angle holds.
     Unvalidated: a non-finite angle gives NaN entries."""
-    angles = [np.atleast_1d(np.asarray(x, dtype=float)) for x in (phi0, chi20, chi30, phi1, chi21, chi31)]
+    angles = [np.asarray(x, dtype=float) for x in (phi0, chi20, chi30, phi1, chi21, chi31)]
+    # every angle takes the grid's number of dimensions, so that the leading
+    # axis of stacked real and imaginary parts never meets a grid axis
+    ndim = max(1, *(angle.ndim for angle in angles))
+    angles = [angle.reshape((1,) * (ndim - angle.ndim) + angle.shape) for angle in angles]
     with np.errstate(invalid="ignore"):
         parts = np.array(_stage_entries(*angles, np.cos, np.sin, _exp_parts, np.multiply))
     entries = np.empty((4, *parts.shape[2:]), dtype=complex)
@@ -202,8 +206,9 @@ def magnetic_phase_matrix(delta: float) -> TransferMatrix:
 
 
 def magnetic_phase_entries(delta) -> np.ndarray:
-    """magnetic_phase_matrix over a number or (P,) array of deltas, as the
-    (4, P) entries; unvalidated like transfer_entries."""
+    """magnetic_phase_matrix over a number or an array of deltas of any
+    shape, as the (4, *shape) entries, (4, 1) for a number; unvalidated like
+    transfer_entries."""
     with np.errstate(invalid="ignore"):
         return np.array(_magnetic_entries(np.atleast_1d(np.asarray(delta, dtype=float)), np.cos, np.sin, np.exp))
 

@@ -44,6 +44,7 @@ from storedlight.cli import (
     run_figure,
     run_single,
 )
+from storedlight.mode_transform import unitarity_defects
 
 
 def float_bits(value):
@@ -344,7 +345,7 @@ class TestRunners:
         assert_sweep_is_the_single_point_route("fock-distribution", params, sweep)
 
     @given(kind=st.sampled_from(["quadratures", "uncertainty-product", "homodyne"]),
-           axes=st.lists(st.sampled_from(["r1", "r2", "alpha", "angle"]), min_size=1, max_size=2,
+           axes=st.lists(st.sampled_from(["r1", "r2", "alpha", "angle"]), min_size=1, max_size=3,
                          unique=True),
            count=st.integers(1, 6), values=st.lists(st.floats(-3, 3), min_size=8, max_size=8),
            stop=st.floats(-3, 3) | st.floats(-800, 800))
@@ -383,6 +384,29 @@ class TestRunners:
         with pytest.raises(InternalConsistencyError) as raised:
             run_experiment(config)
         assert str(raised.value).endswith(f"(unit-overlap closed form) at delta={float(first)!r}")
+
+    def test_grid_of_untouched_transfer_builds_one_transfer(self, monkeypatch):
+        # r1 x r2 leaves every stage angle alone: one transfer serves the grid
+        shapes = []
+        monkeypatch.setattr("storedlight.cli.unitarity_defects",
+                            lambda entries: shapes.append(entries.shape) or unitarity_defects(entries))
+        params = {"phi0": 0.4, "phi1": 1.1, "chi21": 0.3, "alpha1_re": 0.5, "alpha2_im": -0.2}
+        sweep = {"r1": {"start": -1, "stop": 2, "count": 4}, "r2": {"start": 0.5, "stop": -3, "count": 3}}
+        assert_sweep_is_the_single_point_route("quadratures", params, sweep)
+        assert shapes == [(4, 1, 1)]
+
+    def test_failing_grid_names_a_point_past_the_leading_axis_start(self, monkeypatch):
+        # at phi0 = pi/4, |S11|^2 = (1 + sin 2phi1 cos chi21)/2 falls below
+        # 1/4, where the kernel overshoots, first at phi1 = pi/8, chi21 = pi
+        overshoot_unit_overlap(monkeypatch, lambda entries: np.abs(entries[0]) < 0.5)
+        params = {"n": 3, "m": 2, "i": 2, "phi0": "pi/4"}
+        sweep = {"phi1": {"start": 0, "stop": "pi/2", "count": 9}, "chi21": {"start": 0, "stop": "2*pi", "count": 7}}
+        assert_sweep_is_the_single_point_route("fock-distribution", params, sweep)
+        config = ExperimentConfig.from_mapping({"kind": "fock-distribution", "params": params, "sweep": sweep})
+        with pytest.raises(InternalConsistencyError) as raised:
+            run_experiment(config)
+        phi1, chi21 = float(np.linspace(0, np.pi / 2, 9)[2]), float(np.linspace(0, 2 * np.pi, 7)[3])
+        assert str(raised.value).endswith(f"(unit-overlap closed form) at phi1={phi1!r}, chi21={chi21!r}")
 
     def test_failing_sweep_of_any_kind_names_its_point(self):
         config = ExperimentConfig.from_mapping({

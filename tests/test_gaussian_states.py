@@ -15,7 +15,7 @@ from storedlight import (
     released_quadratures,
     uncertainty_product,
 )
-from storedlight.gaussian_states import elementwise, quadrature_moments
+from storedlight.gaussian_states import _scaled, elementwise, quadrature_moments
 from storedlight.mode_transform import transfer_entries
 from storedlight.oracles import (
     VACUUM_VARIANCE,
@@ -95,6 +95,21 @@ def scalar_moments(inputs, transfer):
         variance = 0.5 * ((u1.real * u1.real + u1.imag * u1.imag) + (u2.real * u2.real + u2.imag * u2.imag))
         moments += [mean, variance]
     return np.array([moments[0], moments[2], moments[1], moments[3]])
+
+
+class TestScaled:
+    PARTS = np.array([0.0, -0.0, math.nan, 5e-324, -5e-324, 2.2e-308, -1e-310, 0.75, -3.0e200])
+
+    @pytest.mark.parametrize("scale", [
+        np.float64(2.5), np.float64(1e-300), np.float64(0.0), np.float64(math.inf),
+        np.array([[2.5], [math.inf], [1e-300]]), np.array([[math.exp(700.0)], [0.5]]),
+    ])
+    def test_is_the_substituting_product_bit_for_bit(self, scale):
+        with np.errstate(all="ignore"):
+            expected = np.where(self.PARTS == 0, self.PARTS, self.PARTS * scale)
+            got = _scaled(self.PARTS, scale)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestGridKernel:

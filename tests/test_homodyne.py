@@ -14,6 +14,7 @@ from storedlight import (
     general_variance,
     homodyne_oracle,
 )
+from storedlight.cli import main
 from storedlight.homodyne import count_difference_variance
 
 BALANCED_STORAGE = StageAngles(0.0, 0.0, 0.0)
@@ -86,6 +87,27 @@ class TestGeneralVariance:
             gamma, *angles = rng.uniform(-7, 7, 7)
             config = HomodyneConfig(r1, amp, gamma, StageAngles(*angles[:3]), StageAngles(*angles[3:]))
             assert general_variance(config) == pytest.approx(homodyne_oracle(config, cutoff=60), rel=1e-12)
+
+    @pytest.mark.parametrize("dphi", [9e307, 1e308])
+    def test_overflowing_double_angle_matches_the_oracle(self, dphi):
+        # 2 dphi overflows; dphi = phi1 - phi0 is exact in both settings
+        assert math.isinf(2.0 * dphi)
+        config = plain_config(0.4, 2.0, 0.3, 0.0, dphi)
+        assert general_variance(config) == pytest.approx(homodyne_oracle(config, cutoff=60), rel=1e-12)
+        # the classical-probe oracle needs balanced mixing: phi0 = -t and
+        # phi1 = u with u + t = dphi exactly, and the chi31 that balances them
+        half = dphi / 2
+        u, t = half + 2.0 ** 972, half - 2.0 ** 972
+        assert u + t == dphi
+        c0, s0, c1, s1 = math.cos(-t), math.sin(-t), math.cos(u), math.sin(u)
+        chi31 = math.acos((0.5 - (c1 * c0) ** 2 - (s1 * s0) ** 2) / (2 * c1 * c0 * s1 * s0))
+        for probe in (PROBE_QUANTUM, PROBE_CLASSICAL):
+            config = HomodyneConfig(0.4, 2.0, 0.3, StageAngles(-t, 0.0, 0.0), StageAngles(u, 0.0, chi31), probe)
+            assert general_variance(config) == pytest.approx(homodyne_oracle(config, cutoff=60), rel=1e-12)
+
+    def test_overflowing_double_angle_exits_0(self, capsys):
+        assert main(["eval", "--kind", "homodyne", "--set", "alpha2_mod=1", "--set", "phi1=9e307"]) == 0
+        assert capsys.readouterr().out == "var_k\n1\n"
 
     def test_common_control_phase_drops_out(self, rng):
         for _ in range(20):

@@ -201,6 +201,30 @@ class TestGridEntries:
         assert grid.shape == (4, 2)
         assert magnetic_phase_entries(0.3).shape == (4, 1)
 
+    def test_grid_axes_broadcast_like_the_ravelled_grid(self, rng):
+        phi0, chi20, phi1, chi31 = rng.uniform(-7, 7, 4)
+        chi21 = rng.uniform(-7, 7, (3, 1, 1))
+        phi1_axis = rng.uniform(-7, 7, (1, 4, 1))
+        delta = rng.uniform(-7, 7, (1, 1, 2))
+        grid = transfer_entries(phi0, chi20, 0.0, phi1_axis, chi21, chi31)
+        assert grid.shape == (4, 3, 4, 1)
+        full = [np.broadcast_to(x, (3, 4, 1)).ravel() for x in (phi0, chi20, 0.0, phi1_axis, chi21, chi31)]
+        assert grid.reshape(4, -1).tobytes() == transfer_entries(*full).tobytes()
+        assert transfer_entries(phi0, chi20, 0.0, phi1, 0.0, chi31).shape == (4, 1)
+        magnetic = magnetic_phase_entries(delta)
+        assert magnetic.shape == (4, 1, 1, 2)
+        assert magnetic.reshape(4, -1).tobytes() == magnetic_phase_entries(delta.ravel()).tobytes()
+
+    def test_defects_broadcast_to_the_grid(self, rng):
+        # an axis the transfer does not depend on: entries (4, a, 1)
+        phi1 = rng.uniform(-7, 7, (5, 1))
+        entries = transfer_entries(0.3, 1.1, -0.4, phi1, 2.0, 0.5)
+        assert entries.shape == (4, 5, 1)
+        full = transfer_entries(0.3, 1.1, -0.4, np.broadcast_to(phi1, (5, 6)), 2.0, 0.5)
+        assert full.shape == (4, 5, 6)
+        np.testing.assert_allclose(np.broadcast_to(unitarity_defects(entries), (5, 6)), unitarity_defects(full),
+                                   rtol=0.0, atol=1e-15)
+
     def test_defects_follow_the_scalar_method(self, rng):
         points = rng.uniform(-7, 7, size=(6, 50))
         defects = unitarity_defects(transfer_entries(*points))
