@@ -98,8 +98,9 @@ def count_difference_variance(r1, alpha2_mod, gamma, phi0, phi1, dchi,
                               probe_treatment: str = PROBE_QUANTUM) -> tuple[np.ndarray, np.ndarray]:
     """Variance W of K = a^dag M a, M = S^dag diag(1, -1) S, over a grid of
     points, every argument but the probe treatment a number or an array
-    broadcastable to the grid: phi0 and phi1 are the stage mixing angles and dchi = (chi31 - chi30) - (chi21 - chi20)
-    the only control-phase combination M depends on.  By Wick's theorem
+    broadcastable to the grid: phi0 and phi1 are the stage mixing angles and
+    dchi = (chi31 - chi30) - (chi21 - chi20) the only control-phase
+    combination M depends on.  By Wick's theorem
 
         W = M11^2 (sinh^2(2 r1)/2 + |alpha2|^2)
           + |M21|^2 [|alpha2|^2 (e^(-2 r1) cos^2 h + e^(2 r1) sin^2 h) + sinh^2 r1],
@@ -121,9 +122,9 @@ def count_difference_variance(r1, alpha2_mod, gamma, phi0, phi1, dchi,
     dphi = phi1 - phi0
     two_dphi = 2.0 * dphi
     cos_2dphi, sin_2dphi = np.cos(two_dphi), np.sin(two_dphi)
-    if not np.isfinite(two_dphi).all():
+    overflow = np.isinf(two_dphi)
+    if overflow.any():
         cos_d, sin_d = np.cos(dphi), np.sin(dphi)
-        overflow = np.isinf(two_dphi)
         cos_2dphi = np.where(overflow, (cos_d - sin_d) * (cos_d + sin_d), cos_2dphi)
         sin_2dphi = np.where(overflow, 2.0 * sin_d * cos_d, sin_2dphi)
     sin_0, cos_0, sin_2phi1 = np.sin(phi0), np.cos(phi0), 2.0 * np.sin(phi1) * np.cos(phi1)
