@@ -453,7 +453,7 @@ class Dataset:
         return self.values[:, self.columns.index(name)]
 
 
-def run_experiment(config: ExperimentConfig, workers: int = 1) -> Dataset:
+def run_experiment(config: ExperimentConfig) -> Dataset:
     """Evaluate the configured quantity over its sweep grid in one array pass
     through the kind's kernel.  Each axis is its own grid dimension, and the
     kernel's columns broadcast over them.
@@ -461,9 +461,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> Dataset:
     Rows are emitted in row-major order of the sweep axes as declared.  At the
     first point, in that order, that fails a check, the single-point route
     runs again and raises its error with ``at <axis>=<value>, ...`` appended:
-    the error that point raises on its own.  ``workers`` is accepted for
-    compatibility and has no effect: evaluation is serial, and the output the
-    same either way.
+    the error that point raises on its own.
     """
     kind = _KINDS[config.kind]
     names = [axis.name for axis in config.sweep]
@@ -554,12 +552,14 @@ _FIGURES: dict[int, tuple[dict, tuple]] = {
 
 
 def run_figure(figure_id: int, workers: int = 1) -> Dataset:
-    """Regenerate one of the canned datasets on its 64x64-cell grid."""
+    """Regenerate one of the canned datasets on its 64x64-cell grid.
+
+    ``workers`` is unused: only ``bench/run.py --trace 1`` still passes it."""
     if figure_id not in _FIGURES:
         raise ExperimentConfigError(f"figure id must be one of {sorted(_FIGURES)}, got {figure_id}")
     mapping, keep = _FIGURES[figure_id]
-    config = ExperimentConfig.from_mapping(json.loads(json.dumps(mapping)))
-    dataset = run_experiment(config, workers=workers)
+    config = ExperimentConfig.from_mapping(mapping)
+    dataset = run_experiment(config)
     wanted = tuple(axis.name for axis in config.sweep) + keep
     return Dataset(wanted, dataset.values[:, [dataset.columns.index(name) for name in wanted]],
                    dataset.axis_counts)
@@ -581,16 +581,12 @@ def _build_parser() -> _Parser:
     figure = sub.add_parser("figure", help="regenerate a canned dataset")
     figure.add_argument("--id", type=int, required=True, help="figure number, 1-5")
     figure.add_argument("--out", required=True, help="output CSV path")
-    figure.add_argument("--workers", type=int, default=1,
-                        help="accepted for compatibility, no effect: evaluation is serial")
 
     sweep = sub.add_parser("sweep", help="grid sweep from a JSON description")
     sweep.add_argument("--config", required=True, help="JSON experiment description")
     sweep.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a configuration entry; repeatable")
     sweep.add_argument("--out", default=None, help="output CSV path (overrides the file)")
-    sweep.add_argument("--workers", type=int, default=1,
-                       help="accepted for compatibility, no effect: evaluation is serial")
 
     single = sub.add_parser("eval", help="evaluate a single parameter point")
     single.add_argument("--kind", required=True, help=f"one of {sorted(_KINDS)}")
@@ -605,7 +601,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "figure":
-            dataset = run_figure(args.id, workers=args.workers)
+            dataset = run_figure(args.id)
             dataset.write(args.out)
         elif args.command == "sweep":
             try:
@@ -620,16 +616,17 @@ def main(argv=None) -> int:
             out = args.out or config.out
             if out is None:
                 raise ExperimentConfigError("no output path: give out in the config or --out")
-            dataset = run_experiment(config, workers=args.workers)
+            dataset = run_experiment(config)
             dataset.write(out)
         else:
             mapping = apply_overrides({"kind": args.kind}, args.set)
             config = ExperimentConfig.from_mapping(mapping)
             dataset = run_single(config)
-            if args.out is None:
+            out = args.out or config.out
+            if out is None:
                 sys.stdout.write(dataset.to_csv_text())
             else:
-                dataset.write(args.out)
+                dataset.write(out)
     except ExperimentConfigError as exc:
         _report_error(exc)
         return 2

@@ -19,6 +19,7 @@ general_variance at one geometry.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -83,9 +84,13 @@ def balanced_variance(r1: float, alpha2_mod: float, gamma: float, chi21: float) 
 
 def general_variance(config: HomodyneConfig) -> float:
     """Count-difference variance at any stage angles: count_difference_variance
-    at one point."""
+    at one point.  Where dchi overflows it is the angle of the product of the
+    four control phasors, which W, 2 pi-periodic in dchi, cannot tell apart."""
     storage, release = config.storage, config.release
     dchi = (release.chi3 - storage.chi3) - (release.chi2 - storage.chi2)
+    if not math.isfinite(dchi):
+        dchi = cmath.phase(cmath.exp(1j * release.chi3) * cmath.exp(-1j * storage.chi3)
+                           * cmath.exp(-1j * release.chi2) * cmath.exp(1j * storage.chi2))
     variance, _ = count_difference_variance(config.r1, config.alpha2_mod, config.gamma, storage.phi,
                                             release.phi, dchi, config.probe_treatment)
     if not math.isfinite(variance[0]):

@@ -133,9 +133,19 @@ def unitarity_defects(entries) -> np.ndarray:
 # complex product would promote the real factor to x + 0j and fuse
 # multiply-adds, which can flip the sign of an underflowed part.  The matrix
 # constructors stay scalar: numpy's per-call cost would dominate one point.
+# Two finite control phases of opposite sign can have an infinite difference;
+# there e^{i(late - early)} is the product e^{i late} e^{-i early}, on the
+# array side written as CPython's complex product of the stacked parts.
 
 def _number_times(x: float, z: complex) -> complex:
     return complex(x * z.real, x * z.imag)
+
+
+def _phase_number(late: float, early: float) -> complex:
+    difference = late - early
+    if math.isfinite(difference):
+        return cmath.exp(1j * difference)
+    return cmath.exp(1j * late) * cmath.exp(-1j * early)
 
 
 def _exp_parts(z: np.ndarray) -> np.ndarray:
@@ -145,9 +155,19 @@ def _exp_parts(z: np.ndarray) -> np.ndarray:
     return np.array([w.real, w.imag])
 
 
-def _stage_entries(phi0, chi20, chi30, phi1, chi21, chi31, cos, sin, exp, times):
+def _phase_parts(late: np.ndarray, early: np.ndarray) -> np.ndarray:
+    difference = late - early
+    parts = _exp_parts(1j * difference)
+    overflow = np.isinf(difference)
+    if overflow.any():
+        (p, q), (u, v) = _exp_parts(1j * late), _exp_parts(-1j * early)
+        parts = np.where(overflow, np.array([p * u - q * v, p * v + q * u]), parts)
+    return parts
+
+
+def _stage_entries(phi0, chi20, chi30, phi1, chi21, chi31, cos, sin, phase, times):
     c0, s0, c1, s1 = cos(phi0), sin(phi0), cos(phi1), sin(phi1)
-    a, b = exp(1j * (chi21 - chi20)), exp(1j * (chi31 - chi30))
+    a, b = phase(chi21, chi20), phase(chi31, chi30)
     return (times(c1 * c0, a) + times(s1 * s0, b), times(-c1 * s0, a) + times(s1 * c0, b),
             times(-s1 * c0, a) + times(c1 * s0, b), times(s1 * s0, a) + times(c1 * c0, b))
 
@@ -168,7 +188,7 @@ def build_transfer_matrix(storage: StageAngles, release: StageAngles) -> Transfe
     identity when both stages coincide.
     """
     return TransferMatrix(*_stage_entries(storage.phi, storage.chi2, storage.chi3, release.phi,
-                                          release.chi2, release.chi3, math.cos, math.sin, cmath.exp,
+                                          release.chi2, release.chi3, math.cos, math.sin, _phase_number,
                                           _number_times))
 
 
@@ -184,8 +204,8 @@ def transfer_entries(phi0, chi20, chi30, phi1, chi21, chi31) -> np.ndarray:
     # axis of stacked real and imaginary parts never meets a grid axis
     ndim = max(1, *(angle.ndim for angle in angles))
     angles = [angle.reshape((1,) * (ndim - angle.ndim) + angle.shape) for angle in angles]
-    with np.errstate(invalid="ignore"):
-        parts = np.array(_stage_entries(*angles, np.cos, np.sin, _exp_parts, np.multiply))
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = np.array(_stage_entries(*angles, np.cos, np.sin, _phase_parts, np.multiply))
     entries = np.empty((4, *parts.shape[2:]), dtype=complex)
     entries.real, entries.imag = parts[:, 0], parts[:, 1]
     return entries

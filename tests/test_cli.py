@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -26,6 +28,7 @@ from storedlight import (
     SimulationError,
     StageAngles,
     build_transfer_matrix,
+    cli,
     fock_interference,
     magnetic_phase_matrix,
     mean_release_count,
@@ -44,7 +47,16 @@ from storedlight.cli import (
     run_figure,
     run_single,
 )
+from storedlight.homodyne import count_difference_variance
 from storedlight.mode_transform import unitarity_defects
+
+FIGURE_DIGESTS = {
+    1: "25b6664ee04cd24de6a1608070e54496a024eb90b29af4ecd6fbdbd16c6e953b",
+    2: "3f36c57ecff0414292322d0d1fc5fc7cfc702a0b2d22bbba6080095671639b34",
+    3: "238b3861172fa7b41a29f67a67915524c16d3f0b6b62353097962728e1caf1e3",
+    4: "47563d4156a137778bc293817e6e00dfa45dfc15e3de7f3405f1171e8076b4ed",
+    5: "dac1ff768dc03806f8de7fe1b28ec45c6ddaaf1c2eb730047f3b474b6fcbc128",
+}
 
 
 def float_bits(value):
@@ -276,6 +288,44 @@ class TestExperimentConfig:
         assert len(err) == 2 and all(line.startswith("error: ExperimentConfigError:") for line in err)
         assert not (tmp_path / "a.csv").exists()
 
+    @pytest.mark.parametrize("mapping,message", [
+        ([], "configuration must be a mapping"),
+        ({"kind": "homodyne", "params": [("alpha2_mod", 1)]}, "params must be a mapping"),
+        ({"kind": "homodyne", "params": {"alpha2_mod": 1}, "sweep": ["gamma"]},
+         "sweep must be a mapping of axis descriptions"),
+        ({"kind": "homodyne", "params": {"alpha2_mod": 1}, "workers": 2, "seed": 1},
+         "unknown configuration keys ['seed', 'workers']"),
+        ({"kind": "homodyne", "params": {"alpha2_mod": 1},
+          "sweep": {"gamma": {"start": 0, "stop": 1, "count": 2, "step": 0.5}}},
+         "axis 'gamma' must give exactly start, stop and count"),
+        ({"kind": "homodyne", "params": {"alpha2_mod": 1}, "sweep": {"gamma": [0, 1, 2]}},
+         "axis 'gamma' must give exactly start, stop and count"),
+        ({"kind": "homodyne", "params": {"alpha2_mod": 1}, "out": 3}, "out must be a path string"),
+        ({"kind": "homodyne", "params": {"alpha2_mod": 1, "probe": "semiclassical"}},
+         "probe must be 'quantum' or 'classical', got 'semiclassical'"),
+        ({"kind": "homodyne", "params": {"alpha2_mod": 1, "probe": 1}}, "probe must be of type str, got 1"),
+        ({"kind": "homodyne", "params": {"alpha2_mod": True}}, "alpha2_mod must be a number, got True"),
+        ({"kind": "homodyne", "params": {"alpha2_mod": 1},
+          "sweep": {"gamma": {"start": False, "stop": 1, "count": 2}}}, "gamma.start must be a number, got False"),
+        ({"kind": "fock-distribution", "params": {"n": True, "m": 1}}, "n must be an integer, got True"),
+        ({"kind": "fock-distribution", "params": {"n": "two", "m": 1}}, "n must be of type int, got 'two'"),
+        ({"kind": "fock-distribution", "params": {"n": 1.5, "m": 1}}, "n must be of type int, got 1.5"),
+        ({"kind": "fock-distribution", "params": {"n": 1, "m": 1},
+          "sweep": {"delta": {"start": 0, "stop": 1, "count": "3.0"}}}, "delta.count must be of type int, got '3.0'"),
+    ])
+    def test_rejections(self, mapping, message):
+        with pytest.raises(ExperimentConfigError) as raised:
+            ExperimentConfig.from_mapping(mapping)
+        assert str(raised.value).startswith(message)
+
+    def test_integral_numbers_are_integers(self):
+        config = ExperimentConfig.from_mapping({
+            "kind": "fock-distribution", "params": {"n": 2.0, "m": "1", "i": " 3 "},
+            "sweep": {"delta": {"start": 0, "stop": 1, "count": 4.0}},
+        })
+        assert [(config.params[key], type(config.params[key])) for key in "nmi"] == [(2, int), (1, int), (3, int)]
+        assert config.sweep[0].count == 4 and type(config.sweep[0].count) is int
+
     def test_axis_needs_all_three_fields(self):
         with pytest.raises(ExperimentConfigError):
             ExperimentConfig.from_mapping({
@@ -312,16 +362,41 @@ class TestRunners:
         deltas = dataset.column("delta")
         assert np.allclose(dataset.column("probability"), np.cos(deltas) ** 2, atol=1e-12)
 
-    def test_worker_pool_is_deterministic(self):
+    def test_run_figure_ignores_its_workers_keyword(self):
+        # bench/run.py --trace 1 still passes it
+        text = run_figure(1, workers=2).to_csv_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == FIGURE_DIGESTS[1]
+        assert "workers" not in inspect.signature(run_experiment).parameters
+
+    def test_figures_leave_their_canned_mappings_alone(self):
+        before = copy.deepcopy(cli._FIGURES)
+        for figure in FIGURE_DIGESTS:
+            run_figure(figure)
+        assert cli._FIGURES == before
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_axis_count_must_be_positive(self, count):
         config = ExperimentConfig.from_mapping({
-            "kind": "homodyne",
-            "params": {"r1": 0.4, "alpha2_mod": 2.0, "phi0": "pi/8"},
-            "sweep": {"phi1": {"start": 0, "stop": "pi/2", "count": 5},
-                      "gamma": {"start": 0, "stop": "2*pi", "count": 3}},
+            "kind": "homodyne", "params": {"alpha2_mod": 1},
+            "sweep": {"gamma": {"start": 0, "stop": 1, "count": count}},
         })
-        serial = run_experiment(config, workers=1)
-        pooled = run_experiment(config, workers=2)
-        assert serial.to_csv_text() == pooled.to_csv_text()
+        with pytest.raises(ExperimentConfigError, match=f"^axis 'gamma' needs count >= 1, got {count}$"):
+            run_experiment(config)
+
+    def test_disagreeing_routes_are_an_internal_error(self, monkeypatch):
+        # the grid kernel fails gamma = 0.5, where the single-point route passes
+        def kernel(*args):
+            variance, passed = count_difference_variance(*args)
+            return variance, passed & (np.asarray(args[2]) != 0.5)
+
+        monkeypatch.setattr("storedlight.cli.count_difference_variance", kernel)
+        config = ExperimentConfig.from_mapping({
+            "kind": "homodyne", "params": {"alpha2_mod": 1},
+            "sweep": {"phi1": {"start": 0, "stop": 1, "count": 2}, "gamma": {"start": 0, "stop": 1, "count": 3}},
+        })
+        with pytest.raises(InternalConsistencyError,
+                           match=r"^sweep and single-point routes disagree at phi1=0\.0, gamma=0\.5$"):
+            run_experiment(config)
 
     @given(n=st.integers(0, 64), m=st.integers(0, 64), i=st.integers(0, 64),
            axis=st.sampled_from(["delta", "angles"]), count=st.integers(1, 12),
@@ -430,6 +505,14 @@ class TestRunners:
             })
             with pytest.raises(error, match=r"at delta=0\.0$"):
                 run_experiment(config)
+
+    def test_single_rejects_sweep_axes(self):
+        config = ExperimentConfig.from_mapping({
+            "kind": "homodyne", "params": {"alpha2_mod": 1},
+            "sweep": {"gamma": {"start": 0, "stop": 1, "count": 2}},
+        })
+        with pytest.raises(ExperimentConfigError, match="^run_single does not accept sweep axes$"):
+            run_single(config)
 
     def test_single_full_distribution(self):
         config = ExperimentConfig.from_mapping(
@@ -563,6 +646,75 @@ class TestMainEntry:
                      "--set", "sweep.delta.count=4"]) == 0
         assert len((tmp_path / "c.csv").read_text().splitlines()) == 5
 
+    @pytest.mark.parametrize("command", [["figure", "--id", "1", "--out", "f.csv"],
+                                         ["sweep", "--config", "run.json", "--out", "f.csv"]])
+    def test_workers_is_not_an_option(self, command, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("run.json").write_text(json.dumps({"kind": "homodyne", "params": {"alpha2_mod": 1}}))
+        assert main([*command, "--workers", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ExperimentConfigError:") and len(err.splitlines()) == 1
+        assert not Path("f.csv").exists()
+        with pytest.raises(SystemExit) as raised:
+            main([command[0], "--help"])
+        assert raised.value.code == 0
+        help_text = capsys.readouterr().out
+        assert "--out" in help_text and "--workers" not in help_text
+
+    @pytest.mark.parametrize("text,message", [
+        (None, "cannot read config: "),
+        ("{kind", "config is not valid JSON: "),
+        ("[]", "configuration must be a mapping"),
+        ('{"kind": "homodyne", "params": {"alpha2_mod": 1}}', "no output path: give out in the config or --out"),
+    ])
+    def test_bad_config_files_exit_2(self, text, message, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        if text is not None:
+            path.write_text(text)
+        assert main(["sweep", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"error: ExperimentConfigError: {message}")
+
+    @pytest.mark.parametrize("command", [
+        ["figure", "--id", "2"],
+        ["sweep", "--config", "run.json"],
+        ["eval", "--kind", "homodyne", "--set", "alpha2_mod=1"],
+    ])
+    def test_unwritable_output_exits_1(self, command, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("run.json").write_text(json.dumps({"kind": "homodyne", "params": {"alpha2_mod": 1}}))
+        assert main([*command, "--out", str(tmp_path / "missing" / "a.csv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: FileNotFoundError: ")
+
+    def test_eval_writes_the_out_key(self, tmp_path, capsys):
+        command = ["eval", "--kind", "fock-distribution", "--set", "n=1", "--set", "m=1"]
+        assert main(command) == 0
+        expected = capsys.readouterr().out
+        out = tmp_path / "x.csv"
+        assert main([*command, "--set", f"out={out}"]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert out.read_text() == expected
+
+    @pytest.mark.parametrize("phases", [
+        ["chi20=-1e308", "chi21=1e308"], ["chi20=0.4", "chi30=1e308", "chi21=-0.7", "chi31=-1e308"],
+        ["chi20=-1.7e308", "chi30=1.5e308", "chi21=1.7e308", "chi31=-1.5e308"],
+    ])
+    def test_overflowing_control_phases_exit_0(self, phases, capsys):
+        # chi21 - chi20 or chi31 - chi30 overflows between finite phases
+        sets = [arg for setting in ["phi0=0.3", "phi1=0.9", *phases] for arg in ("--set", setting)]
+        for kind in ("fock-distribution", "quadratures", "uncertainty-product"):
+            extra = ["--set", "n=2", "--set", "m=1"] if kind == "fock-distribution" else []
+            assert main(["eval", "--kind", kind, *sets, *extra]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == "" and "nan" not in captured.out
+        params = dict(setting.split("=") for setting in phases)
+        late = params.pop("chi21")
+        sweep = {"chi21": {"start": late, "stop": float(late) / 2, "count": 3}}
+        assert_sweep_is_the_single_point_route("quadratures", {"phi0": 0.3, "phi1": 0.9, "r1": 0.5, **params}, sweep)
+
     def test_config_errors_exit_2(self, capsys):
         assert main(["eval", "--kind", "bogus"]) == 2
         assert main(["eval", "--kind", "fock-distribution", "--set", "n=1"]) == 2
@@ -660,13 +812,7 @@ class TestMainEntry:
                      "--set", "phi1=pi/4", "--set", "probe=classical"]) == 0
         assert capsys.readouterr().out.splitlines()[1] == "2.06115373276e-09"
 
-    @pytest.mark.parametrize("figure,digest", [
-        (1, "25b6664ee04cd24de6a1608070e54496a024eb90b29af4ecd6fbdbd16c6e953b"),
-        (2, "3f36c57ecff0414292322d0d1fc5fc7cfc702a0b2d22bbba6080095671639b34"),
-        (3, "238b3861172fa7b41a29f67a67915524c16d3f0b6b62353097962728e1caf1e3"),
-        (4, "47563d4156a137778bc293817e6e00dfa45dfc15e3de7f3405f1171e8076b4ed"),
-        (5, "dac1ff768dc03806f8de7fe1b28ec45c6ddaaf1c2eb730047f3b474b6fcbc128"),
-    ])
+    @pytest.mark.parametrize("figure,digest", list(FIGURE_DIGESTS.items()))
     def test_figure_digests(self, figure, digest, tmp_path):
         out = tmp_path / "fig.csv"
         assert main(["figure", "--id", str(figure), "--out", str(out)]) == 0

@@ -64,6 +64,11 @@ class TestReleaseDistribution:
         with pytest.raises(InternalConsistencyError):
             ReleaseDistribution([0.5, 0.5 + 2e-9])
 
+    @pytest.mark.parametrize("probabilities", [[], [[0.5, 0.5]], [[1.0], [0.0]], 1.0])
+    def test_rejects_shapes_other_than_a_nonempty_vector(self, probabilities):
+        with pytest.raises(ParameterDomainError, match="^probabilities must form a non-empty 1-d vector$"):
+            ReleaseDistribution(probabilities)
+
     def test_rejects_nan(self):
         with pytest.raises(InternalConsistencyError):
             ReleaseDistribution([float("nan"), 0.5])
@@ -85,6 +90,11 @@ class TestFockInput:
             FockInput(1.5, 0)
         with pytest.raises(ParameterDomainError):
             FockInput(True, 0)
+
+    @pytest.mark.parametrize("overlap", [1.0, 0.5j, None])
+    def test_rejects_an_overlap_that_is_not_a_gram_matrix(self, overlap):
+        with pytest.raises(ParameterDomainError, match="^overlap must be a GramMatrix$"):
+            FockInput(1, 1, overlap)
 
     def test_capacity_limit(self):
         with pytest.raises(CapacityError) as info:

@@ -230,11 +230,23 @@ class TestValidation:
         with pytest.raises(ParameterDomainError):
             SqueezedInput(0, 0, 0.5 + 0.1j, 0.0)
 
+    @pytest.mark.parametrize("fields,message", [
+        ((complex(np.nan, 0), 0, 0.0, 0.0), "displacement alpha1 must be finite"),
+        ((0, complex(1.0, np.inf), 0.0, 0.0), "displacement alpha2 must be finite"),
+        ((0, 0, np.inf, 0.0), "squeezing parameter r1 must be finite"),
+        ((0, 0, 0.0, np.nan), "squeezing parameter r2 must be finite"),
+    ])
+    def test_nonfinite_fields_are_rejected(self, fields, message):
+        with pytest.raises(ParameterDomainError, match=f"^{message}$"):
+            SqueezedInput(*fields)
+
     def test_quadrature_stats_guard(self):
         with pytest.raises(InternalConsistencyError):
             QuadratureStats(0.0, 0.0, 0.1, 0.1)
         with pytest.raises(InternalConsistencyError):
             QuadratureStats(0.0, 0.0, -0.5, 1.0)
+        with pytest.raises(InternalConsistencyError, match="^quadrature moment var_p is not finite$"):
+            QuadratureStats(0.0, 0.0, 0.5, np.inf)
 
 
 class TestSymplecticHelpers:

@@ -105,6 +105,17 @@ class TestGeneralVariance:
             config = HomodyneConfig(0.4, 2.0, 0.3, StageAngles(-t, 0.0, 0.0), StageAngles(u, 0.0, chi31), probe)
             assert general_variance(config) == pytest.approx(homodyne_oracle(config, cutoff=60), rel=1e-12)
 
+    @pytest.mark.parametrize("chi20,chi30,chi21,chi31", [
+        (-1e308, 0.0, 1e308, 0.0), (0.4, 1e308, -0.7, -1e308), (-1.7e308, 1.5e308, 1.7e308, -1.5e308),
+        (1e308, 0.0, -1e308, 0.0)])
+    def test_overflowing_control_phases_match_the_oracle(self, chi20, chi30, chi21, chi31):
+        # dchi overflows; the classical-probe oracle needs balanced mixing
+        for phi0, phi1, probe in ((0.3, 0.9, PROBE_QUANTUM), (0.0, np.pi / 4, PROBE_QUANTUM),
+                                  (0.0, np.pi / 4, PROBE_CLASSICAL)):
+            config = HomodyneConfig(0.3, 1.5, 0.4, StageAngles(phi0, chi20, chi30),
+                                    StageAngles(phi1, chi21, chi31), probe)
+            assert general_variance(config) == pytest.approx(homodyne_oracle(config, cutoff=60), rel=1e-12)
+
     def test_overflowing_double_angle_exits_0(self, capsys):
         assert main(["eval", "--kind", "homodyne", "--set", "alpha2_mod=1", "--set", "phi1=9e307"]) == 0
         assert capsys.readouterr().out == "var_k\n1\n"
@@ -278,6 +289,13 @@ class TestConfigValidation:
         with pytest.raises(ParameterDomainError):
             HomodyneConfig(0.1, 1.0, 0.0, BALANCED_STORAGE, balanced_release(),
                            probe_treatment="semiclassical")
+
+    @pytest.mark.parametrize("field", ["r1", "alpha2_mod", "gamma"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_fields(self, field, value):
+        fields = {"r1": 0.1, "alpha2_mod": 1.0, "gamma": 0.0, field: value}
+        with pytest.raises(ParameterDomainError, match=f"^{field} must be finite"):
+            HomodyneConfig(**fields, storage=BALANCED_STORAGE, release=balanced_release())
 
     def test_probe_amplitude_convention(self):
         config = plain_config(0.0, 2.0, np.pi / 2, 0.0, 0.0)

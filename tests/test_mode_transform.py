@@ -24,6 +24,20 @@ from storedlight.mode_transform import (
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
+# (phi0, chi20, chi30, phi1, chi21, chi31) where chi21 - chi20, chi31 - chi30
+# or both overflow, and S11, S12, S21, S22 there from 60-digit mpmath
+OVERFLOWING_PHASES = [
+    ((0.3, -1e308, 0.0, 0.9, 1e308, 0.0),
+     [0.5811834158795843 - 0.4799663025858262j, 0.640167598976947 + 0.14847097598089706j,
+      -0.25697207345427653 + 0.6048334803507814j, 0.7301620072761111 - 0.18709692045004647j]),
+    ((0.2, 0.4, 1e308, 1.1, -0.7, -1e308),
+     [0.3059096682547103 - 0.2530880526145095j, 0.47346210885286094 + 0.7862565382702328j,
+      -0.3431243649060801 + 0.85125283124339j, 0.3420934653092075 + 0.201510169720165j]),
+    ((0.5, -1.7e308, 1.5e308, 0.1, 1.7e308, -1.5e308),
+     [0.24681604105680122 - 0.8825768384598527j, -0.15285678154134136 + 0.36983073213036416j,
+      -0.10109094247792098 - 0.38719579987415176j, -0.12437831791186296 - 0.9079592876016838j]),
+]
+
 
 def rotation(phi):
     c, s = np.cos(phi), np.sin(phi)
@@ -62,6 +76,12 @@ class TestBuildTransferMatrix:
         with pytest.raises(ParameterDomainError):
             StageAngles(np.inf, 0.0, 0.0)
 
+    @pytest.mark.parametrize("point,reference", OVERFLOWING_PHASES)
+    def test_overflowing_phase_difference_matches_mpmath(self, point, reference):
+        transfer = build_transfer_matrix(StageAngles(*point[:3]), StageAngles(*point[3:]))
+        np.testing.assert_allclose(_entries(transfer), reference, rtol=0.0, atol=1e-15)
+        assert transfer_entries(*point)[:, 0].tobytes() == _entries(transfer).tobytes()
+
 
 class TestMagneticPhaseMatrix:
     def test_matches_control_phase_offset(self, rng):
@@ -81,6 +101,11 @@ class TestMagneticPhaseMatrix:
         assert np.allclose(abs(half.s11) ** 2, 0.5, atol=1e-15)
         assert np.allclose(abs(half.s12) ** 2, 0.5, atol=1e-15)
 
+    @pytest.mark.parametrize("delta", [np.inf, -np.inf, np.nan])
+    def test_rejects_nonfinite_delta(self, delta):
+        with pytest.raises(ParameterDomainError, match="^delta must be finite"):
+            magnetic_phase_matrix(delta)
+
     def test_transmission_amplitude(self, rng):
         for delta in rng.uniform(0.0, 2 * np.pi, size=20):
             transfer = magnetic_phase_matrix(delta)
@@ -92,6 +117,11 @@ class TestTransferMatrix:
     def test_rejects_nonunitary_entries(self):
         with pytest.raises(ParameterDomainError):
             TransferMatrix(1.0, 0.0, 0.0, 1.1)
+
+    @pytest.mark.parametrize("entries,name", [((np.nan, 0, 0, 1), "s11"), ((1, 0, 0, complex(1, np.inf)), "s22")])
+    def test_rejects_nonfinite_entries(self, entries, name):
+        with pytest.raises(ParameterDomainError, match=f"^matrix entry {name} must be finite$"):
+            TransferMatrix(*entries)
 
     def test_row_selection(self, rng):
         transfer = random_transfer(rng)
@@ -122,6 +152,18 @@ class TestGramMatrix:
     def test_rejects_overlap_above_one(self):
         with pytest.raises(ParameterDomainError):
             GramMatrix(1.0 + 1e-6)
+
+    @pytest.mark.parametrize("s", [np.nan, complex(0.5, np.inf)])
+    def test_rejects_nonfinite_overlap(self, s):
+        with pytest.raises(ParameterDomainError, match="^packet overlap must be finite$"):
+            GramMatrix(s)
+
+    @pytest.mark.parametrize("excess", [2.3e-16, 5e-13, 9e-13])
+    def test_rounding_excess_is_pulled_onto_the_circle(self, excess):
+        phase = np.exp(0.7j)
+        gram = GramMatrix((1.0 + excess) * phase)
+        assert abs(gram.s_overlap) <= 1.0
+        assert gram.s_overlap == pytest.approx(phase, abs=1e-15)
 
     def test_unit_overlap_classification(self):
         assert GramMatrix(1.0).is_unit_overlap()
@@ -164,6 +206,19 @@ class TestGramFromPackets:
         with pytest.raises(ParameterDomainError):
             gram_from_packets(self.gaussian(0.0), self.gaussian(0.0)[:-1], self.dt)
 
+    @pytest.mark.parametrize("spacing", [0.0, -0.01, np.inf, np.nan])
+    def test_bad_spacing_rejected(self, spacing):
+        with pytest.raises(ParameterDomainError, match="^grid spacing must be positive and finite"):
+            gram_from_packets(self.gaussian(0.0), self.gaussian(0.0), spacing)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_nonfinite_profile_rejected(self, value, which):
+        profiles = [self.gaussian(0.0).astype(complex), self.gaussian(0.5).astype(complex)]
+        profiles[which][3000] = value
+        with pytest.raises(ParameterDomainError, match="^packet profiles must be finite everywhere$"):
+            gram_from_packets(*profiles, self.dt)
+
     def test_marginal_excess_is_clamped(self):
         # norm 1 + 5e-9 passes the norm gate, and the self-overlap then lands
         # just above 1, exercising the clamp path
@@ -182,6 +237,8 @@ class TestGridEntries:
     @given(st.lists(st.tuples(angles, angles, angles, angles, angles, angles), min_size=1, max_size=20))
     # numpy's fused complex product gave Re S21 = -0.0 here, the matrix +0.0
     @example(points=[(-0.0, -4.5, 0.0, -5e-324, 0.0, 0.0)])
+    # chi21 - chi20 overflows: the grid's phasor product is CPython's
+    @example(points=[(0.3, -1e308, 0.0, 0.9, 1e308, 0.0), (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)])
     @settings(max_examples=100, deadline=None)
     def test_stage_entries_match_the_matrix_bit_for_bit(self, points):
         grid = transfer_entries(*np.array(points).T)
