@@ -108,27 +108,15 @@ _ANGLE_KEYS = ("phi0", "chi20", "chi30", "phi1", "chi21", "chi31")
 
 
 @dataclass
-class SweepAxis:
-    name: str
-    start: float
-    stop: float
-    count: int
-
-    def values(self) -> np.ndarray:
-        if self.count < 1:
-            raise ExperimentConfigError(f"axis {self.name!r} needs count >= 1, got {self.count}")
-        if not math.isfinite(self.stop - self.start):
-            raise ExperimentConfigError(f"axis {self.name!r} from {self.start!r} to {self.stop!r} is not finite")
-        return np.linspace(self.start, self.stop, self.count)
-
-
-@dataclass
 class ExperimentConfig:
-    """A validated experiment: kind, resolved parameters, optional sweep axes."""
+    """A resolved experiment: ``params`` holds the given parameters, coerced,
+    and the kind's defaults (``i = n`` for ``fock-distribution``); ``sweep``
+    maps each swept name, in declaration order, to its checked axis values
+    ``np.linspace(start, stop, count)``; ``provided`` names what was given."""
 
     kind: str
     params: dict
-    sweep: list[SweepAxis] = field(default_factory=list)
+    sweep: dict = field(default_factory=dict)
     out: Optional[str] = None
     provided: set = field(default_factory=set)
 
@@ -149,7 +137,6 @@ class ExperimentConfig:
         if not isinstance(raw_params, dict):
             raise ExperimentConfigError("params must be a mapping")
         params = {}
-        provided = set()
         for key, value in raw_params.items():
             if key not in schema:
                 raise ExperimentConfigError(
@@ -157,8 +144,7 @@ class ExperimentConfig:
                     f"allowed: {sorted(schema)}"
                 )
             params[key] = _coerce(schema[key][0], key, value)
-            provided.add(key)
-        sweep = []
+        bounds = {}
         raw_sweep = mapping.get("sweep", {})
         if not isinstance(raw_sweep, dict):
             raise ExperimentConfigError("sweep must be a mapping of axis descriptions")
@@ -172,45 +158,43 @@ class ExperimentConfig:
                     f"axis {name!r} must give exactly start, stop and count"
                 )
             try:
-                sweep.append(SweepAxis(
-                    name=name,
-                    start=_coerce("float", f"{name}.start", axis["start"]),
-                    stop=_coerce("float", f"{name}.stop", axis["stop"]),
-                    count=_coerce("int", f"{name}.count", axis["count"]),
-                ))
+                bounds[name] = (_coerce("float", f"{name}.start", axis["start"]),
+                                _coerce("float", f"{name}.stop", axis["stop"]),
+                                _coerce("int", f"{name}.count", axis["count"]))
             except KeyError as missing:
                 raise ExperimentConfigError(f"axis {name!r} is missing {missing}") from None
-            provided.add(name)
         out = mapping.get("out")
         if out is not None and not isinstance(out, str):
             raise ExperimentConfigError("out must be a path string")
-        config = cls(kind=kind, params=params, sweep=sweep, out=out, provided=provided)
-        config._fill_defaults()
-        return config
-
-    def _fill_defaults(self):
-        schema = _KINDS[self.kind].schema
-        for name, (_, default) in schema.items():
-            if name not in self.params and default not in (None, _REQUIRED):
-                self.params[name] = default
-        swept = {axis.name for axis in self.sweep}
+        provided = set(params) | set(bounds)
         missing = [name for name, (_, default) in schema.items()
-                   if default is _REQUIRED and name not in self.params and name not in swept]
+                   if default is _REQUIRED and name not in provided]
         if missing:
             raise ExperimentConfigError(
-                f"kind {self.kind!r} requires parameters {sorted(missing)}"
+                f"kind {kind!r} requires parameters {sorted(missing)}"
             )
-        if "delta" in self.provided and any(key in self.provided for key in _ANGLE_KEYS):
+        if "delta" in provided and any(key in provided for key in _ANGLE_KEYS):
             raise ExperimentConfigError(
                 "give either delta or explicit stage angles, not both"
             )
-        if self.kind == "fock-distribution" and "i" not in self.params:
-            self.params["i"] = self.params["n"]
-        if self.kind == "homodyne" and self.params["probe"] not in (PROBE_QUANTUM, PROBE_CLASSICAL):
+        for name, (_, default) in schema.items():
+            if name not in params and default not in (None, _REQUIRED):
+                params[name] = default
+        if kind == "fock-distribution" and "i" not in params:
+            params["i"] = params["n"]
+        if kind == "homodyne" and params["probe"] not in (PROBE_QUANTUM, PROBE_CLASSICAL):
             raise ExperimentConfigError(
                 f"probe must be {PROBE_QUANTUM!r} or {PROBE_CLASSICAL!r}, "
-                f"got {self.params['probe']!r}"
+                f"got {params['probe']!r}"
             )
+        sweep = {}
+        for name, (start, stop, count) in bounds.items():
+            if count < 1:
+                raise ExperimentConfigError(f"axis {name!r} needs count >= 1, got {count}")
+            if not math.isfinite(stop - start):
+                raise ExperimentConfigError(f"axis {name!r} from {start!r} to {stop!r} is not finite")
+            sweep[name] = np.linspace(start, stop, count)
+        return cls(kind=kind, params=params, sweep=sweep, out=out, provided=provided)
 
 
 def _coerce(type_name: str, key: str, value):
@@ -454,9 +438,9 @@ class Dataset:
 
 
 def run_experiment(config: ExperimentConfig) -> Dataset:
-    """Evaluate the configured quantity over its sweep grid in one array pass
-    through the kind's kernel.  Each axis is its own grid dimension, and the
-    kernel's columns broadcast over them.
+    """Evaluate the configured quantity over the grid of ``config.sweep``'s
+    checked axis values in one array pass through the kind's kernel.  Each axis
+    is its own grid dimension, and the kernel's columns broadcast over them.
 
     Rows are emitted in row-major order of the sweep axes as declared.  At the
     first point, in that order, that fails a check, the single-point route
@@ -464,11 +448,11 @@ def run_experiment(config: ExperimentConfig) -> Dataset:
     the error that point raises on its own.
     """
     kind = _KINDS[config.kind]
-    names = [axis.name for axis in config.sweep]
-    axes = [axis.values() for axis in config.sweep]
+    names = list(config.sweep)
+    axes = list(config.sweep.values())
     # axis k runs along grid dimension k, so a function of one parameter
     # runs once per value of its axis; no sweep is a grid of one point
-    shape = tuple(axis.count for axis in config.sweep) or (1,)
+    shape = tuple(map(len, axes)) or (1,)
     along = axes if len(axes) < 2 else [
         coords.reshape([-1 if j == k else 1 for j in range(len(axes))]) for k, coords in enumerate(axes)]
     grid = {**config.params, **dict(zip(names, along))}
@@ -497,7 +481,7 @@ def run_experiment(config: ExperimentConfig) -> Dataset:
             raise
         raise InternalConsistencyError(f"sweep and single-point routes disagree at {where}")
     return Dataset(columns=tuple(names) + kind.columns, values=values,
-                   axis_counts=tuple(axis.count for axis in config.sweep))
+                   axis_counts=tuple(map(len, axes)))
 
 
 def run_single(config: ExperimentConfig) -> Dataset:
@@ -560,7 +544,7 @@ def run_figure(figure_id: int, workers: int = 1) -> Dataset:
     mapping, keep = _FIGURES[figure_id]
     config = ExperimentConfig.from_mapping(mapping)
     dataset = run_experiment(config)
-    wanted = tuple(axis.name for axis in config.sweep) + keep
+    wanted = tuple(config.sweep) + keep
     return Dataset(wanted, dataset.values[:, [dataset.columns.index(name) for name in wanted]],
                    dataset.axis_counts)
 

@@ -258,7 +258,10 @@ def release_probabilities(n: int, m: int, entries, overlap=1.0) -> tuple[np.ndar
     unit-overlap form in one call; its rows round alike at any P, so that
     gives the chunked result bit for bit.
     Returns the unclipped (P, n + m + 1) block and the (P,) mask of rows that
-    pass ReleaseDistribution's PROBABILITY_GUARD and SUM_TOL checks."""
+    pass ReleaseDistribution's PROBABILITY_GUARD and SUM_TOL checks.
+    The overlap must be a magnitude in [0, 1 + OVERLAP_ROUNDING_TOL], as
+    GramMatrix and cli._count_kernel enforce; the mask does not test it, and
+    rows at |s| = 1 + 1e-6 or at -0.5 pass."""
     entries = np.asarray(entries, dtype=complex)
     overlap = np.asarray(overlap, dtype=float)
     if overlap.ndim == 0 and entries.shape[1] <= GRID_CHUNK and abs(1.0 - overlap) <= UNIT_OVERLAP_TOL:

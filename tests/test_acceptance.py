@@ -3,10 +3,12 @@ canned datasets.  Each test prints one PASS/FAIL line on the real stdout so the
 gate is auditable from the pytest log alone."""
 
 import math
+import sys
 import time
 
 import numpy as np
 
+from conftest import random_transfer
 from storedlight import (
     FockInput,
     GramMatrix,
@@ -52,18 +54,19 @@ def announce(capsys, index, label, ok, detail):
     assert ok, f"criterion {index:02d} {label}: {detail}"
 
 
-def random_transfer(rng):
-    return build_transfer_matrix(StageAngles(*rng.uniform(-2 * np.pi, 2 * np.pi, 3)),
-                                 StageAngles(*rng.uniform(-2 * np.pi, 2 * np.pi, 3)))
-
-
 def test_01_unitarity(capsys):
     rng = np.random.default_rng(101)
-    start = time.perf_counter()
     worst = 0.0
-    for _ in range(10_000):
-        worst = max(worst, random_transfer(rng).unitarity_defect())
-    elapsed = time.perf_counter() - start
+    # the bound times the calls, so a tracer such as a coverage run sits out
+    tracer = sys.gettrace()
+    sys.settrace(None)
+    try:
+        start = time.perf_counter()
+        for _ in range(10_000):
+            worst = max(worst, random_transfer(rng).unitarity_defect())
+        elapsed = time.perf_counter() - start
+    finally:
+        sys.settrace(tracer)
     ok = worst < 1e-12 and elapsed < 1.0
     announce(capsys, 1, "transfer matrices unitary", ok,
              f"max defect {worst:.2e} over 10000 pairs in {elapsed:.2f} s")

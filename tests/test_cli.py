@@ -68,7 +68,7 @@ def assert_sweep_is_the_single_point_route(kind, params, sweep):
     raises the first failing point's own error with the point appended."""
     config = ExperimentConfig.from_mapping({"kind": kind, "params": params, "sweep": sweep})
     expected = []
-    for combo in itertools.product(*(axis.values() for axis in config.sweep)):
+    for combo in itertools.product(*config.sweep.values()):
         point = {**params, **{name: float(v) for name, v in zip(sweep, combo)}}
         try:
             dataset = run_single(ExperimentConfig.from_mapping({"kind": kind, "params": point}))
@@ -312,6 +312,20 @@ class TestExperimentConfig:
         ({"kind": "fock-distribution", "params": {"n": 1.5, "m": 1}}, "n must be of type int, got 1.5"),
         ({"kind": "fock-distribution", "params": {"n": 1, "m": 1},
           "sweep": {"delta": {"start": 0, "stop": 1, "count": "3.0"}}}, "delta.count must be of type int, got '3.0'"),
+        # the axis count and span checks come after every other check
+        ({"kind": "fock-distribution", "params": {"n": 1},
+          "sweep": {"delta": {"start": 0, "stop": 1, "count": 0}}},
+         "kind 'fock-distribution' requires parameters ['m']"),
+        ({"kind": "fock-distribution", "params": {"n": 1, "m": 1, "delta": 0.4},
+          "sweep": {"phi1": {"start": 0, "stop": "1e309", "count": 3}}},
+         "give either delta or explicit stage angles, not both"),
+        ({"kind": "fock-distribution", "params": {"n": 1, "m": 1, "delta": 0.4, "phi0": 0.1},
+          "sweep": {"s": {"start": 0, "stop": 1, "count": -1}}},
+         "give either delta or explicit stage angles, not both"),
+        ({"kind": "homodyne", "params": {"alpha2_mod": 1},
+          "sweep": {"phi1": {"start": 0, "stop": "1e309", "count": 2},
+                    "gamma": {"start": 0, "stop": 1, "count": 0}}},
+         "axis 'phi1' from 0.0 to inf is not finite"),
     ])
     def test_rejections(self, mapping, message):
         with pytest.raises(ExperimentConfigError) as raised:
@@ -324,7 +338,7 @@ class TestExperimentConfig:
             "sweep": {"delta": {"start": 0, "stop": 1, "count": 4.0}},
         })
         assert [(config.params[key], type(config.params[key])) for key in "nmi"] == [(2, int), (1, int), (3, int)]
-        assert config.sweep[0].count == 4 and type(config.sweep[0].count) is int
+        assert list(config.sweep) == ["delta"] and len(config.sweep["delta"]) == 4
 
     def test_axis_needs_all_three_fields(self):
         with pytest.raises(ExperimentConfigError):
@@ -333,6 +347,17 @@ class TestExperimentConfig:
                 "params": {"n": 1, "m": 1},
                 "sweep": {"delta": {"start": 0, "count": 5}},
             })
+
+    def test_sweep_holds_axis_values_in_declaration_order(self):
+        config = ExperimentConfig.from_mapping({
+            "kind": "homodyne", "params": {"alpha2_mod": 1},
+            "sweep": {"phi1": {"start": "-pi/3", "stop": "3*pi/8", "count": 7},
+                      "gamma": {"start": "pi/2", "stop": "2*pi", "count": 5}},
+        })
+        assert list(config.sweep) == ["phi1", "gamma"]
+        expected = [np.linspace(-np.pi / 3, 3 * np.pi / 8, 7), np.linspace(np.pi / 2, 2 * np.pi, 5)]
+        for values, want in zip(config.sweep.values(), expected):
+            assert [float_bits(v) for v in values.tolist()] == [float_bits(v) for v in want.tolist()]
 
     @pytest.mark.parametrize("start,stop", [(0, "1e309"), ("-1e309", 1), ("-1e308", "1e308")])
     def test_axis_values_must_be_finite(self, start, stop, tmp_path, capsys):
@@ -376,12 +401,11 @@ class TestRunners:
 
     @pytest.mark.parametrize("count", [0, -3])
     def test_axis_count_must_be_positive(self, count):
-        config = ExperimentConfig.from_mapping({
-            "kind": "homodyne", "params": {"alpha2_mod": 1},
-            "sweep": {"gamma": {"start": 0, "stop": 1, "count": count}},
-        })
         with pytest.raises(ExperimentConfigError, match=f"^axis 'gamma' needs count >= 1, got {count}$"):
-            run_experiment(config)
+            ExperimentConfig.from_mapping({
+                "kind": "homodyne", "params": {"alpha2_mod": 1},
+                "sweep": {"gamma": {"start": 0, "stop": 1, "count": count}},
+            })
 
     def test_disagreeing_routes_are_an_internal_error(self, monkeypatch):
         # the grid kernel fails gamma = 0.5, where the single-point route passes
@@ -513,6 +537,16 @@ class TestRunners:
         })
         with pytest.raises(ExperimentConfigError, match="^run_single does not accept sweep axes$"):
             run_single(config)
+
+    @pytest.mark.parametrize("subcommand", ["eval", "sweep"])
+    def test_a_bad_axis_is_reported_as_the_configuration_is_read(self, subcommand, tmp_path, capsys):
+        # before run_single refuses sweep axes, and before sweep asks for an output path
+        (tmp_path / "run.json").write_text('{"kind": "homodyne"}')
+        command = (["eval", "--kind", "homodyne"] if subcommand == "eval"
+                   else ["sweep", "--config", str(tmp_path / "run.json")])
+        assert main([*command, "--set", "alpha2_mod=1", "--set", "sweep.gamma.start=0",
+                     "--set", "sweep.gamma.stop=1", "--set", "sweep.gamma.count=0"]) == 2
+        assert capsys.readouterr().err == "error: ExperimentConfigError: axis 'gamma' needs count >= 1, got 0\n"
 
     def test_single_full_distribution(self):
         config = ExperimentConfig.from_mapping(
