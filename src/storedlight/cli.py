@@ -36,7 +36,7 @@ from .gaussian_states import (SqueezedInput, quadrature_moments, released_quadra
                               uncertainty_product)
 from .homodyne import (PROBE_CLASSICAL, PROBE_QUANTUM, HomodyneConfig, count_difference_variance,
                        general_variance)
-from .mode_transform import (OVERLAP_ROUNDING_TOL, UNITARITY_TOL, GramMatrix, StageAngles,
+from .mode_transform import (UNITARITY_TOL, GramMatrix, StageAngles,
                              build_transfer_matrix, magnetic_phase_entries, magnetic_phase_matrix,
                              transfer_entries, unitarity_defects)
 
@@ -277,16 +277,9 @@ def _count_kernel(grid: dict, entries: np.ndarray):
     # the FockInput checks and the count range hold at every point or at none
     if not (min(n, m) >= 0 and 0 <= target <= n + m <= MAX_TOTAL_PHOTONS):
         return [np.nan], False
-    overlap = np.abs(grid["s"])
-    shape = entries.shape[1:]
-    if overlap.ndim:   # a swept overlap: the transfer broadcasts against it
-        shape = np.broadcast_shapes(shape, overlap.shape)
-        entries = np.broadcast_to(entries, (4, *shape))
-        overlap = np.broadcast_to(overlap, shape).reshape(-1)
-    # release_probabilities chunks flat (4, P) entries
-    probs, passed = release_probabilities(n, m, entries.reshape(4, -1), overlap)
-    passed &= overlap <= 1.0 + OVERLAP_ROUNDING_TOL
-    return [np.clip(probs[:, target], 0.0, 1.0).reshape(shape)], passed.reshape(shape)
+    # the transfers and the overlap keep their own grid axes
+    probs, passed = release_probabilities(n, m, entries, abs(grid["s"]))
+    return [np.clip(probs[..., target], 0.0, 1.0)], passed
 
 
 def _count_point(params: dict) -> tuple:

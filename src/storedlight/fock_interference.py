@@ -13,8 +13,10 @@ distinguishable; the distribution is then an exact binomial mixture of
 unit-overlap distributions, each convolved with the independent routing of
 the remainder's photons.
 
-release_probabilities evaluates both forms for a whole grid of transfer
-matrices at once, array in and array out, in fixed-size chunks of points.
+release_probabilities evaluates both forms at once on a grid of transfer
+matrices and packet overlaps, array in and array out, with the transfers and
+the overlaps on axes of their own: the mixture builds what it needs of each
+transfer once and the weights of each overlap once, in fixed-size chunks.
 release_distribution and release_distribution_unit_overlap are that kernel
 at a single point, with its validation and error messages.
 """
@@ -34,7 +36,7 @@ from .errors import (
     ParameterDomainError,
     UndefinedRatioError,
 )
-from .mode_transform import UNIT_OVERLAP_TOL, GramMatrix, TransferMatrix
+from .mode_transform import OVERLAP_ROUNDING_TOL, UNIT_OVERLAP_TOL, GramMatrix, TransferMatrix
 
 # Largest total photon number a FockInput accepts; the closed forms are
 # tested up to it.
@@ -189,15 +191,27 @@ def _unit_overlap_block(n: int, m: int, entries: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=MAX_TOTAL_PHOTONS + 1)
-def _mixture_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only tables for m second-packet photons, l of them shared and j
-    routed, l, j = 0..m: the Pascal-triangle rows C(m - l, j), zero for
-    j > m - l, as an (m + 1, 1, m + 1) array; C(m, l) as an (m + 1, 1)
-    column; and the exponent m - l - j, clipped at 0, as an index."""
-    spreads = np.array([[math.comb(m - l, j) for j in range(m + 1)] for l in range(m + 1)], dtype=float)
+def _binomial_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only tables for j of m - l photons, l, j = 0..m: the
+    Pascal-triangle rows C(m - l, j), zero for j > m - l, as an
+    (m + 1, m + 1, 1) array, and the exponent m - l - j, clipped at 0, as an
+    index."""
+    binomials = np.array([[math.comb(m - l, j) for j in range(m + 1)] for l in range(m + 1)], dtype=float)
     exponents = np.maximum(np.arange(m, -1, -1)[:, None] - np.arange(m + 1), 0)
-    spreads.flags.writeable = exponents.flags.writeable = False
-    return spreads[:, None, :], spreads[0, :, None], exponents
+    binomials.flags.writeable = exponents.flags.writeable = False
+    return binomials[:, :, None], exponents
+
+
+# np.power rounds its SIMD and scalar loops differently, so every table of
+# powers below is taken along a contiguous axis of exponents 0..m
+
+def _binomial_spread(m: int, p: np.ndarray) -> np.ndarray:
+    """C(m - l, j) p^j (1 - p)^(m - l - j) at [l, j, t] for each of the (T,)
+    probabilities p, zero for j > m - l: j of m - l photons that each take a
+    route with probability p."""
+    binomials, exponents = _binomial_tables(m)
+    p_pow, q_pow = np.array([p, 1.0 - p])[:, :, None] ** np.arange(m + 1.0)
+    return binomials * p_pow.T * q_pow.T[exponents]
 
 
 def _unit_overlap_stack(n: int, m: int, entries: np.ndarray) -> np.ndarray:
@@ -217,8 +231,16 @@ def _unit_overlap_stack(n: int, m: int, entries: np.ndarray) -> np.ndarray:
     return columns.real ** 2 + columns.imag ** 2
 
 
-def _mixture_block(n: int, m: int, overlap: np.ndarray, entries: np.ndarray) -> np.ndarray:
-    """Raw count probabilities at packet-overlap magnitudes |s| < 1.
+def _transfer_tables(n: int, m: int, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mixture's tables of the (4, T) transfers, T on the last axis: the
+    spread Bin(m - l, |S12|^2) of the m - l unshared photons and the stack."""
+    return _binomial_spread(m, np.abs(entries[1]) ** 2), _unit_overlap_stack(n, m, entries).swapaxes(1, 2)
+
+
+def _mixture_block(n: int, m: int, weights: np.ndarray, spread: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Raw count probabilities at P points of partial packet overlap, a row
+    per point, from the (m + 1, 1 or P) weights of their overlaps and the
+    tables of their transfers, P on the last axis.
 
     Packet 2 splits into its component along packet 1, of weight |s|^2, and an
     orthogonal remainder.  Of the m second-channel photons, l share the first
@@ -228,56 +250,81 @@ def _mixture_block(n: int, m: int, overlap: np.ndarray, entries: np.ndarray) -> 
     |S12|^2 (Tichy, J. Phys. B 47, 103001, 2014).  The convolution of each
     unit-overlap distribution with the binomial spread of the remainder runs
     as m + 1 shift-and-add steps over the whole stack; every step is
-    elementwise or sums over the l axis, so rows round alike at any P.
+    elementwise or sums over the l axis in order, so rows round alike at any
+    P.  At |s| = 1 the weights pick layer m, whose rows come out bit for bit.
     """
-    spread_binomials, weight_binomials, exponents = _mixture_tables(m)
-    s_sq, routed = overlap ** 2, np.abs(entries[1]) ** 2
-    # (P, m + 1) tables of x^k for x = |s|^2, 1 - |s|^2, r = |S12|^2 and 1 - r
-    bases = np.array([s_sq, 1.0 - s_sq, routed, 1.0 - routed])
-    s_pow, c_pow, r_pow, q_pow = bases[:, :, None] ** np.arange(m + 1.0)
-    weights = weight_binomials * s_pow.T * c_pow.T[::-1]
-    # spread[l, p, j] = C(m - l, j) r^j (1 - r)^(m - l - j), zero for j > m - l
-    spread = spread_binomials * r_pow * q_pow[:, exponents].transpose(1, 0, 2)
-    terms = weights[:, :, None] * spread
-    stack = _unit_overlap_stack(n, m, entries)
-    probs = np.zeros((overlap.size, n + m + 1))
+    terms = weights[:, None, :] * spread
+    shifted = np.zeros((m + 1, n + m + 1, spread.shape[-1]))
     for shift in range(m + 1):
         # only the l <= m - shift layers have photons left to route this far
         layers = m + 1 - shift
-        probs[:, shift:] += np.add.reduce(stack[:layers, :, :n + layers] * terms[:layers, :, shift, None])
-    return probs
+        np.add.reduce(stack[:layers, :n + layers] * terms[:layers, shift, None], out=shifted[shift, shift:])
+    # from 0, the shifts in order, as adding each into a zeroed row would
+    return np.add.reduce(shifted, initial=0.0).T
 
 
 def release_probabilities(n: int, m: int, entries, overlap=1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Raw photon-count distributions in output channel 1 at P points, given
-    the (4, P) array of S11, S12, S21, S22 and the packet-overlap magnitude
-    |s|, a number or a (P,) array.  |s| within UNIT_OVERLAP_TOL of 1 counts
-    as 1: a chunk all at unit overlap takes the unit-overlap closed form, any
-    other the mixture, which gives the same rows bit for bit at |s| = 1.  A
-    single number at unit overlap with at most one chunk of points goes to the
-    unit-overlap form in one call; its rows round alike at any P, so that
-    gives the chunked result bit for bit.
-    Returns the unclipped (P, n + m + 1) block and the (P,) mask of rows that
-    pass ReleaseDistribution's PROBABILITY_GUARD and SUM_TOL checks.
-    The overlap must be a magnitude in [0, 1 + OVERLAP_ROUNDING_TOL], as
-    GramMatrix and cli._count_kernel enforce; the mask does not test it, and
-    rows at |s| = 1 + 1e-6 or at -0.5 pass."""
+    """Raw photon-count distributions in output channel 1 on the grid that
+    the (4, *A) array of S11, S12, S21, S22 and the packet-overlap magnitude
+    |s|, a number or an array, span when broadcast together.
+
+    The mixture builds its stack and spread once per transfer and its weights
+    once per overlap, and combines them GRID_CHUNK transfers and GRID_CHUNK
+    points at a time.  |s| within UNIT_OVERLAP_TOL of 1 counts as 1, where the
+    mixture gives the unit-overlap row bit for bit; overlaps all there take
+    the unit-overlap closed form instead, in one call for up to GRID_CHUNK
+    transfers.  The weights of the overlaps C(m, l) |s|^2l (1 - |s|^2)^(m - l)
+    are the spread's row l = 0 at |s|^2.
+    Returns the unclipped (*grid, n + m + 1) block and the grid's mask of rows
+    that pass ReleaseDistribution's PROBABILITY_GUARD and SUM_TOL checks at an
+    |s| in [0, 1 + OVERLAP_ROUNDING_TOL], the magnitudes GramMatrix accepts;
+    an |s| outside it weighs in as NaN and fails the mask."""
     entries = np.asarray(entries, dtype=complex)
     overlap = np.asarray(overlap, dtype=float)
-    if overlap.ndim == 0 and entries.shape[1] <= GRID_CHUNK and abs(1.0 - overlap) <= UNIT_OVERLAP_TOL:
-        raw = _unit_overlap_block(n, m, entries)
+    transfers = entries.reshape(4, -1)
+    count = transfers.shape[1]
+    if overlap.ndim == 0:
+        s = float(overlap)
+        usable = 0.0 <= s <= 1.0 + OVERLAP_ROUNDING_TOL
+        s = s if usable else math.nan
+        unit = abs(1.0 - s) <= UNIT_OVERLAP_TOL
+        if unit and count <= GRID_CHUNK:
+            raw = _unit_overlap_block(n, m, transfers)
+        else:
+            weights, raw = _binomial_spread(m, np.array([s * s]))[0], np.empty((count, n + m + 1))
+            for first in range(0, count, GRID_CHUNK):
+                block = transfers[:, first:first + GRID_CHUNK]
+                raw[first:first + GRID_CHUNK] = (_unit_overlap_block(n, m, block) if unit else
+                                                 _mixture_block(n, m, weights, *_transfer_tables(n, m, block)))
+        if entries.ndim != 2:
+            raw = raw.reshape(entries.shape[1:] + (n + m + 1,))
     else:
-        overlap = np.broadcast_to(overlap, entries.shape[1:])
-        raw = np.empty((entries.shape[1], n + m + 1))
-        for first in range(0, len(raw), GRID_CHUNK):
-            rows = slice(first, first + GRID_CHUNK)
-            unit = np.abs(1.0 - overlap[rows]) <= UNIT_OVERLAP_TOL
-            if unit.all():
-                raw[rows] = _unit_overlap_block(n, m, entries[:, rows])
-            else:
-                raw[rows] = _mixture_block(n, m, np.where(unit, 1.0, overlap[rows]), entries[:, rows])
+        s = overlap.ravel()
+        usable = (s >= 0.0) & (s <= 1.0 + OVERLAP_ROUNDING_TOL)
+        unit = usable & (np.abs(1.0 - s) <= UNIT_OVERLAP_TOL)
+        if unit.all():   # nothing to mix: the unit-overlap rows, repeated along the overlap's axes
+            raw, passed = release_probabilities(n, m, entries, 1.0)
+            grid = np.broadcast_shapes(entries.shape[1:], overlap.shape)
+            return np.broadcast_to(raw, grid + (n + m + 1,)).copy(), np.broadcast_to(passed, grid).copy()
+        # each grid point's transfer and overlap, as positions in the flat arrays
+        transfer_of, overlap_of = np.broadcast_arrays(np.arange(count).reshape(entries.shape[1:]),
+                                                      np.arange(overlap.size).reshape(overlap.shape))
+        grid, transfer_of, overlap_of = transfer_of.shape, transfer_of.ravel(), overlap_of.ravel()
+        weights = _binomial_spread(m, np.select([unit, usable], [1.0, s], np.nan) ** 2)[0]
+        raw = np.empty((transfer_of.size, n + m + 1))
+        # the grid's points, grouped by the chunk of transfers that serves them
+        order = np.argsort(transfer_of, kind="stable")
+        groups = np.split(order, np.searchsorted(transfer_of, range(GRID_CHUNK, count, GRID_CHUNK), sorter=order))
+        for first, served in zip(range(0, count, GRID_CHUNK), groups):
+            spread, stack = _transfer_tables(n, m, transfers[:, first:first + GRID_CHUNK])
+            for points in np.split(served, range(GRID_CHUNK, served.size, GRID_CHUNK)):
+                rows = transfer_of[points] - first
+                raw[points] = _mixture_block(n, m, weights[:, overlap_of[points]], np.take(spread, rows, axis=2),
+                                             np.take(stack, rows, axis=2))
+        raw, usable = raw.reshape(grid + (n + m + 1,)), usable[overlap_of].reshape(grid)
     in_range, normalised = _guard_checks(raw)
-    return raw, in_range & normalised
+    # at m = 0 the weight is NaN^0 = 1, so an unusable overlap can leave a passing row
+    return raw, in_range & normalised & usable
 
 
 def release_distribution_unit_overlap(fock_input: FockInput, transfer: TransferMatrix) -> ReleaseDistribution:

@@ -4,6 +4,10 @@ import pytest
 from storedlight import StageAngles, build_transfer_matrix, fock_interference
 
 
+# generalised Hong-Ou-Mandel overlaps: both sides of |s| = 1 - UNIT_OVERLAP_TOL
+HOM_OVERLAPS = [0.0, 0.3, 0.9, 1.0 - 2e-8, 1.0 - 5e-9, 1.0]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)

@@ -9,6 +9,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import overshoot_unit_overlap
+from conftest import HOM_OVERLAPS, overshoot_unit_overlap
 from storedlight import (
     CapacityError,
     ExperimentConfigError,
@@ -56,6 +57,16 @@ FIGURE_DIGESTS = {
     3: "238b3861172fa7b41a29f67a67915524c16d3f0b6b62353097962728e1caf1e3",
     4: "47563d4156a137778bc293817e6e00dfa45dfc15e3de7f3405f1171e8076b4ed",
     5: "dac1ff768dc03806f8de7fe1b28ec45c6ddaaf1c2eb730047f3b474b6fcbc128",
+}
+
+
+# generalised Hong-Ou-Mandel dips at n = m: 33 deltas by 65 packet overlaps
+HOM_DIP_AXES = ["--set", "sweep.delta.start=0", "--set", "sweep.delta.stop=pi", "--set", "sweep.delta.count=33",
+                "--set", "sweep.s.start=0", "--set", "sweep.s.stop=1", "--set", "sweep.s.count=65"]
+HOM_DIP_DIGESTS = {
+    6: "77695d4cf079c08124c1fdbc149945024f7ad34af0bd2ad4f04deb73e1e6fafe",
+    16: "38ac0a8f094ab3b42bdd451f78cdb94982cedd3c63491d8df03d1efe9fab88c5",
+    32: "a634e68b9c64421ae38c90491dff083fff390d8d86b1fa87eb1e56cdf89792bc",
 }
 
 
@@ -442,6 +453,49 @@ class TestRunners:
             # across |s| = 1 - UNIT_OVERLAP_TOL, where the route switches
             sweep["s"] = {"start": 1 - 3e-8, "stop": 1.0, "count": 4}
         assert_sweep_is_the_single_point_route("fock-distribution", params, sweep)
+
+    @given(n=st.integers(0, 64), m=st.integers(0, 64), i=st.integers(0, 64),
+           overlaps=st.tuples(st.sampled_from(HOM_OVERLAPS), st.sampled_from(HOM_OVERLAPS)),
+           counts=st.tuples(st.integers(1, 3), st.integers(1, 2), st.integers(1, 3)),
+           angles=st.lists(st.floats(-7, 7), min_size=3, max_size=3))
+    @settings(max_examples=25, deadline=None)
+    def test_three_axis_overlap_sweep_is_the_single_point_route(self, n, m, i, overlaps, counts, angles):
+        # the overlap axis between two transfer axes; with one or two values
+        # it takes only the drawn overlaps
+        m = min(m, 64 - n)
+        params = {"n": n, "m": m, "i": min(i, n + m), "phi0": angles[0]}
+        sweep = {"phi1": {"start": angles[1], "stop": 1.5, "count": counts[0]},
+                 "s": {"start": overlaps[0], "stop": overlaps[1], "count": counts[1]},
+                 "chi21": {"start": angles[2], "stop": 6.0, "count": counts[2]}}
+        assert_sweep_is_the_single_point_route("fock-distribution", params, sweep)
+
+    @pytest.mark.parametrize("m", [0, 2])
+    @pytest.mark.parametrize("start,stop", [(0.5, 1.5), (0.0, -1.5), (1.0, 1.0 + 4e-12), (1.5, None)])
+    def test_overlap_sweep_past_its_domain_stops_at_the_first_bad_point(self, m, start, stop):
+        # stop None: a fixed s; at m = 0 no photon mixes, yet the point still fails
+        params, sweep = {"n": 3, "m": m}, {"delta": {"start": 0.3, "stop": 1.3, "count": 2}}
+        if stop is None:
+            params["s"] = start
+        else:
+            sweep["s"] = {"start": start, "stop": stop, "count": 5}
+        config = ExperimentConfig.from_mapping({"kind": "fock-distribution", "params": params, "sweep": sweep})
+        with pytest.raises(ParameterDomainError, match=r"exceeds 1; .* at delta=0\.3(, s=|$)"):
+            run_experiment(config)
+        assert_sweep_is_the_single_point_route("fock-distribution", params, sweep)
+
+    def test_hom_dip_grid_stays_in_its_chunks(self):
+        # chunked, the grid's largest blocks are one chunk's stack and terms;
+        # building them for the whole grid at once would pass 45 MB here
+        config = ExperimentConfig.from_mapping({"kind": "fock-distribution", "params": {"n": 32, "m": 32},
+                                                "sweep": {"delta": {"start": 0, "stop": "pi", "count": 33},
+                                                          "s": {"start": 0, "stop": 1, "count": 65}}})
+        tracemalloc.start()
+        try:
+            run_experiment(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 45e6
 
     @given(kind=st.sampled_from(["quadratures", "uncertainty-product", "homodyne"]),
            axes=st.lists(st.sampled_from(["r1", "r2", "alpha", "angle"]), min_size=1, max_size=3,
@@ -875,8 +929,10 @@ class TestMainEntry:
           "--set", "sweep.r1.start=-1.5", "--set", "sweep.r1.stop=2", "--set", "sweep.r1.count=3",
           "--set", "sweep.chi31.start=0", "--set", "sweep.chi31.stop=2*pi", "--set", "sweep.chi31.count=7"],
          "02b7183be728af8669a7444972db8c219069420c340fbeca6071707baf5ae481"),
+        *[(["sweep", "--set", "kind=fock-distribution", "--set", f"n={n}", "--set", f"m={n}", *HOM_DIP_AXES], digest)
+          for n, digest in HOM_DIP_DIGESTS.items()],
     ], ids=["eval-unit-overlap", "eval-partial-overlap", "quadratures-sweep", "homodyne-classical-sweep",
-            "quadratures-three-axis-sweep"])
+            "quadratures-three-axis-sweep", *[f"hom-dip-{n}" for n in HOM_DIP_DIGESTS]])
     def test_output_digests(self, command, digest, tmp_path):
         out = tmp_path / "out.csv"
         if command[0] == "sweep":

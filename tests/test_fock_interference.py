@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import overshoot_unit_overlap, random_transfer
+from conftest import HOM_OVERLAPS, overshoot_unit_overlap, random_transfer
 from storedlight import (
     CapacityError,
     FockInput,
@@ -417,6 +417,49 @@ class TestArrayKernel:
             assert good
             assert np.clip(row, 0.0, 1.0).tobytes() == single.tobytes()
 
+    @given(photon_pairs, st.lists(st.floats(0, 2 * np.pi), min_size=1, max_size=5),
+           st.lists(st.sampled_from(HOM_OVERLAPS), min_size=1, max_size=6), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_transfer_by_overlap_grid_is_the_per_point_call(self, pair, deltas, overlaps, overlap_first):
+        # a transfer axis and an overlap axis, in either order: each cell is
+        # the one-point kernel and, where it passes, the public distribution
+        n, m = pair[0], pair[1] - pair[0]
+        entries, overlaps = magnetic_phase_entries(np.array(deltas)), np.array(overlaps)
+        if overlap_first:
+            raw, ok = release_probabilities(n, m, entries[:, None, :], overlaps[:, None])
+            raw, ok = raw.swapaxes(0, 1), ok.T
+        else:
+            raw, ok = release_probabilities(n, m, entries[:, :, None], overlaps)
+        assert raw.shape == (len(deltas), len(overlaps), n + m + 1)
+        for (t, k), good in np.ndenumerate(ok):
+            single, single_ok = release_probabilities(n, m, entries[:, t:t + 1], overlaps[k])
+            assert raw[t, k].tobytes() == single[0].tobytes() and good == single_ok[0]
+            if good:
+                fock_input = FockInput(n, m, GramMatrix(overlaps[k]))
+                row = release_distribution(fock_input, magnetic_phase_matrix(deltas[t])).probabilities
+                assert np.clip(raw[t, k], 0.0, 1.0).tobytes() == row.tobytes()
+
+    def test_overlaps_all_at_unit_take_the_unit_form(self, monkeypatch):
+        entries = magnetic_phase_entries(np.linspace(0.0, np.pi, 5))
+        unit, _ = release_probabilities(6, 6, entries, 1.0)
+        # the mixture's stack would cost 5-19 times the unit-overlap form
+        monkeypatch.setattr(fock_interference, "_unit_overlap_stack", None)
+        raw, ok = release_probabilities(6, 6, entries[:, :, None], np.array([1.0, 1.0 - 5e-9, 1.0 + 1e-13]))
+        assert ok.all() and raw.flags.writeable
+        assert raw.tobytes() == np.repeat(unit[:, None], 3, axis=1).tobytes()
+
+    @pytest.mark.parametrize("m", [0, 2])
+    @pytest.mark.parametrize("s", [1.0 + 1e-6, 1.0 + 1e-9, -0.5, np.nan])
+    def test_overlap_outside_its_domain_fails_the_mask(self, s, m):
+        # at m = 0 the row is the same at every overlap, so only the domain test fails it
+        entries = magnetic_phase_entries(np.array([0.7, 1.3]))
+        _, ok = release_probabilities(3, m, entries, s)
+        assert not ok.any()
+        _, ok = release_probabilities(3, m, entries, np.array([s, 0.5]))
+        assert ok.tolist() == [False, True]
+        _, ok = release_probabilities(3, m, entries[:, :, None], np.array([s, 1.0, 1.0 + 1e-13, 0.5]))
+        assert ok.tolist() == [[False, True, True, True]] * 2
+
     def test_grid_larger_than_a_chunk(self, rng):
         size = GRID_CHUNK + 57
         points = rng.uniform(-7, 7, size=(6, size))
@@ -427,6 +470,16 @@ class TestArrayKernel:
         for k, row in enumerate(raw):
             single, _ = release_probabilities(5, 3, entries[:, k:k + 1], overlaps[k])
             assert row.tobytes() == single[0].tobytes()
+
+    def test_overlap_by_transfer_grid_over_several_chunks(self, rng):
+        # transfers on the last axis: each chunk of them serves points spread over the whole grid
+        entries = transfer_entries(*rng.uniform(-7, 7, size=(6, 2 * GRID_CHUNK + 57)))
+        overlaps = np.array([0.4, 1.0, 0.95])
+        raw, ok = release_probabilities(5, 3, entries[:, None, :], overlaps[:, None])
+        assert ok.all() and raw.shape == (3, entries.shape[1], 9)
+        for (k, t), _ in np.ndenumerate(ok):
+            single, _ = release_probabilities(5, 3, entries[:, t:t + 1], overlaps[k])
+            assert raw[k, t].tobytes() == single[0].tobytes()
 
     @pytest.mark.parametrize("n,m", [(0, 0), (5, 3), (32, 32), (0, 64), (63, 1)])
     def test_mixture_layers_are_the_unit_overlap_rows(self, n, m, rng):
