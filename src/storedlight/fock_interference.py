@@ -11,7 +11,9 @@ partial overlap the second packet splits into a part along the first packet,
 which interferes, and an orthogonal remainder whose photons are
 distinguishable; the distribution is then an exact binomial mixture of
 unit-overlap distributions, each convolved with the independent routing of
-the remainder's photons.
+the remainder's photons.  One routine builds the d-matrix columns of both:
+a stack over the shared photon numbers l = 0..m for the mixture, and its
+last layer l = m alone at unit overlap.
 
 release_probabilities evaluates both forms at once on a grid of transfer
 matrices and packet overlaps, array in and array out, with the transfers and
@@ -50,6 +52,21 @@ PROBABILITY_GUARD = 1e-9
 SUM_TOL = 1e-10
 
 
+def _photon_numbers(n, m) -> tuple[int, int]:
+    """n and m as ints, each a non-negative integer and together at most
+    MAX_TOTAL_PHOTONS."""
+    for name, value in (("n", n), ("m", m)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ParameterDomainError(f"photon number {name} must be an integer, got {value!r}")
+        if value < 0:
+            raise ParameterDomainError(f"photon number {name} must be >= 0, got {value}")
+    n, m = int(n), int(m)
+    if n + m > MAX_TOTAL_PHOTONS:
+        raise CapacityError(f"total photon number {n + m} exceeds the cap of {MAX_TOTAL_PHOTONS}",
+                            required=n + m)
+    return n, m
+
+
 @dataclass(frozen=True)
 class FockInput:
     """Stored number-state input: n photons in packet 1 of channel 1 and
@@ -60,20 +77,11 @@ class FockInput:
     overlap: GramMatrix = field(default_factory=lambda: GramMatrix(1.0))
 
     def __post_init__(self):
-        for name in ("n", "m"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ParameterDomainError(f"photon number {name} must be an integer, got {value!r}")
-            if value < 0:
-                raise ParameterDomainError(f"photon number {name} must be >= 0, got {value}")
-            object.__setattr__(self, name, int(value))
+        n, m = _photon_numbers(self.n, self.m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
         if not isinstance(self.overlap, GramMatrix):
             raise ParameterDomainError("overlap must be a GramMatrix")
-        if self.total > MAX_TOTAL_PHOTONS:
-            raise CapacityError(
-                f"total photon number {self.total} exceeds the cap of {MAX_TOTAL_PHOTONS}",
-                required=self.total,
-            )
 
     @property
     def total(self) -> int:
@@ -170,26 +178,6 @@ def _jy_eigenvectors(total: int) -> np.ndarray:
     return vectors
 
 
-def _unit_overlap_block(n: int, m: int, entries: np.ndarray) -> np.ndarray:
-    """Raw count probabilities for n and m photons in fully overlapping
-    packets, a row per column of the (4, P) entries.
-
-    The transfer acts on the n + m photons as a rotation of spin j = (n+m)/2
-    (Yurke, McCall & Klauder, PRA 33, 4033, 1986), so P(i) = |d^j_{i-j,n-j}(beta)|^2
-    with cos(beta/2) = |S11|.  Column n of d(beta) = V diag(exp(-i beta mu)) V^+
-    comes from the eigenvectors V of J_y and its exact eigenvalues mu, which
-    is backward stable (Feng et al., PRE 92, 043307, 2015).
-    """
-    total = n + m
-    vectors = _jy_eigenvectors(total)
-    beta = 2.0 * np.arctan2(np.abs(entries[1]), np.abs(entries[0]))
-    scaled = np.exp(-1j * np.multiply.outer(beta, np.arange(total + 1) - total / 2)) * vectors[n].conj()
-    # a broadcast product summed over its contiguous last axis rounds every
-    # row alike at any P, where matmul's rounding depends on the BLAS blocks
-    column = (vectors * scaled[:, None, :]).sum(axis=-1)
-    return column.real ** 2 + column.imag ** 2
-
-
 @functools.lru_cache(maxsize=MAX_TOTAL_PHOTONS + 1)
 def _binomial_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only tables for j of m - l photons, l, j = 0..m: the
@@ -214,20 +202,30 @@ def _binomial_spread(m: int, p: np.ndarray) -> np.ndarray:
     return binomials * p_pow.T * q_pow.T[exponents]
 
 
-def _unit_overlap_stack(n: int, m: int, entries: np.ndarray) -> np.ndarray:
-    """_unit_overlap_block(n, l, entries) for l = 0..m, bit for bit, zero-padded
-    into an (m + 1, P, n + m + 1) stack.  One phase table exp(-i beta h/2),
-    h = -(n+m)..n+m, serves every total: total n + l takes its eigenvalues
-    k - (n + l)/2 at h = 2k - n - l."""
+def _unit_overlap_stack(n: int, m: int, entries: np.ndarray, lowest: int = 0) -> np.ndarray:
+    """Raw count probabilities for n and l photons in fully overlapping
+    packets, l = lowest..m, as an (m + 1 - lowest, P, n + m + 1) stack with a
+    row per column of the (4, P) entries, zero past count n + l.
+
+    The transfer acts on the n + l photons as a rotation of spin
+    j = (n+l)/2 (Yurke, McCall & Klauder, PRA 33, 4033, 1986), so
+    P(i) = |d^j_{i-j,n-j}(beta)|^2 with cos(beta/2) = |S11|.  Column n of
+    d(beta) = V diag(exp(-i beta mu)) V^+ comes from the eigenvectors V of J_y
+    and its exact eigenvalues mu, which is backward stable (Feng et al., PRE
+    92, 043307, 2015).  One phase table exp(-i beta h/2) serves every total:
+    total n + l takes its eigenvalues k - (n + l)/2 at h = 2k - n - l, so a
+    single layer needs only the h of its total's parity."""
     beta = 2.0 * np.arctan2(np.abs(entries[1]), np.abs(entries[0]))
-    size = n + m
-    phases = np.exp(-1j * np.multiply.outer(beta, np.arange(-size, size + 1) / 2))
-    columns = np.zeros((m + 1, entries.shape[1], size + 1), dtype=complex)
-    for shared in range(m + 1):
+    size, step = n + m, 1 if lowest < m else 2
+    phases = np.exp(-1j * np.multiply.outer(beta, np.arange(-size, size + 1, step) / 2))
+    columns = np.zeros((m + 1 - lowest, entries.shape[1], size + 1), dtype=complex)
+    for shared in range(lowest, m + 1):
         total = n + shared
         vectors = _jy_eigenvectors(total)
-        scaled = phases[:, size - total:size + total + 1:2] * vectors[n].conj()
-        np.add.reduce(vectors * scaled[:, None, :], axis=-1, out=columns[shared, :, :total + 1])
+        scaled = phases[:, (size - total) // step:(size + total) // step + 1:2 // step] * vectors[n].conj()
+        # a broadcast product summed over its contiguous last axis rounds every
+        # row alike at any P, where matmul's rounding depends on the BLAS blocks
+        np.add.reduce(vectors * scaled[:, None, :], axis=-1, out=columns[shared - lowest, :, :total + 1])
     return columns.real ** 2 + columns.imag ** 2
 
 
@@ -272,13 +270,15 @@ def release_probabilities(n: int, m: int, entries, overlap=1.0) -> tuple[np.ndar
     once per overlap, and combines them GRID_CHUNK transfers and GRID_CHUNK
     points at a time.  |s| within UNIT_OVERLAP_TOL of 1 counts as 1, where the
     mixture gives the unit-overlap row bit for bit; overlaps all there take
-    the unit-overlap closed form instead, in one call for up to GRID_CHUNK
-    transfers.  The weights of the overlaps C(m, l) |s|^2l (1 - |s|^2)^(m - l)
-    are the spread's row l = 0 at |s|^2.
+    the stack's last layer l = m alone instead, in one call for up to
+    GRID_CHUNK transfers.  The weights of the overlaps
+    C(m, l) |s|^2l (1 - |s|^2)^(m - l) are the spread's row l = 0 at |s|^2.
     Returns the unclipped (*grid, n + m + 1) block and the grid's mask of rows
     that pass ReleaseDistribution's PROBABILITY_GUARD and SUM_TOL checks at an
     |s| in [0, 1 + OVERLAP_ROUNDING_TOL], the magnitudes GramMatrix accepts;
-    an |s| outside it weighs in as NaN and fails the mask."""
+    an |s| outside it weighs in as NaN and fails the mask.  n and m are
+    checked as FockInput checks them."""
+    n, m = _photon_numbers(n, m)
     entries = np.asarray(entries, dtype=complex)
     overlap = np.asarray(overlap, dtype=float)
     transfers = entries.reshape(4, -1)
@@ -289,12 +289,12 @@ def release_probabilities(n: int, m: int, entries, overlap=1.0) -> tuple[np.ndar
         s = s if usable else math.nan
         unit = abs(1.0 - s) <= UNIT_OVERLAP_TOL
         if unit and count <= GRID_CHUNK:
-            raw = _unit_overlap_block(n, m, transfers)
+            raw = _unit_overlap_stack(n, m, transfers, m)[0]
         else:
             weights, raw = _binomial_spread(m, np.array([s * s]))[0], np.empty((count, n + m + 1))
             for first in range(0, count, GRID_CHUNK):
                 block = transfers[:, first:first + GRID_CHUNK]
-                raw[first:first + GRID_CHUNK] = (_unit_overlap_block(n, m, block) if unit else
+                raw[first:first + GRID_CHUNK] = (_unit_overlap_stack(n, m, block, m)[0] if unit else
                                                  _mixture_block(n, m, weights, *_transfer_tables(n, m, block)))
         if entries.ndim != 2:
             raw = raw.reshape(entries.shape[1:] + (n + m + 1,))

@@ -33,6 +33,13 @@ PROBE_QUANTUM = "quantum"
 PROBE_CLASSICAL = "classical"
 
 
+def _check_probe_treatment(probe_treatment) -> None:
+    if probe_treatment not in (PROBE_QUANTUM, PROBE_CLASSICAL):
+        raise ParameterDomainError(
+            f"probe_treatment must be {PROBE_QUANTUM!r} or {PROBE_CLASSICAL!r}, got {probe_treatment!r}"
+        )
+
+
 @dataclass(frozen=True)
 class HomodyneConfig:
     """Inputs of the count-difference measurement.
@@ -57,11 +64,7 @@ class HomodyneConfig:
             object.__setattr__(self, name, value)
         if self.alpha2_mod < 0:
             raise ParameterDomainError(f"alpha2_mod must be >= 0, got {self.alpha2_mod}")
-        if self.probe_treatment not in (PROBE_QUANTUM, PROBE_CLASSICAL):
-            raise ParameterDomainError(
-                f"probe_treatment must be {PROBE_QUANTUM!r} or {PROBE_CLASSICAL!r}, "
-                f"got {self.probe_treatment!r}"
-            )
+        _check_probe_treatment(self.probe_treatment)
 
     @property
     def alpha2(self) -> complex:
@@ -120,7 +123,10 @@ def count_difference_variance(r1, alpha2_mod, gamma, phi0, phi1, dchi,
     the mask of points with alpha2_mod >= 0 and a finite W.  Squares are
     float_power's, sinh and exp math's.  At dchi = 0, lift, Im M21 and
     2 arg M21 = arctan2(2 re im, re^2 - im^2) are +-0, so h is gamma and W
-    rounds as the zero-phase form does, also where 2 phi overflows."""
+    rounds as the zero-phase form does, also where 2 phi overflows.  A probe
+    treatment other than PROBE_QUANTUM or PROBE_CLASSICAL raises
+    ParameterDomainError."""
+    _check_probe_treatment(probe_treatment)
     two_r = 2.0 * np.asarray(r1, dtype=float)
     sinh_2r = elementwise(math.sinh, two_r)
     phi0, phi1, dchi = (np.asarray(x, dtype=float) for x in (phi0, phi1, dchi))

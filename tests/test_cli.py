@@ -469,6 +469,22 @@ class TestRunners:
                  "chi21": {"start": angles[2], "stop": 6.0, "count": counts[2]}}
         assert_sweep_is_the_single_point_route("fock-distribution", params, sweep)
 
+    @given(n=st.integers(0, 64), m=st.integers(0, 64), i=st.integers(0, 64), delta=st.floats(-7, 7),
+           overlaps=st.tuples(st.sampled_from(HOM_OVERLAPS), st.sampled_from(HOM_OVERLAPS)),
+           count=st.integers(1, 5))
+    @example(n=32, m=32, i=32, delta=1.3, overlaps=(1.0 - 5e-9, 1.0), count=3)
+    @example(n=32, m=32, i=31, delta=0.9, overlaps=(0.0, 1.0), count=5)
+    @example(n=0, m=64, i=20, delta=2.1, overlaps=(0.9, 1.0 - 5e-9), count=4)
+    @example(n=63, m=1, i=40, delta=-0.4, overlaps=(1.0, 0.3), count=2)
+    @settings(max_examples=25, deadline=None)
+    def test_hom_dip_at_fixed_delta_is_the_single_point_route(self, n, m, i, delta, overlaps, count):
+        # the generalised HOM dip: the only sweep that hands the count kernel
+        # one transfer and a flat array of overlaps
+        m = min(m, 64 - n)
+        params = {"n": n, "m": m, "i": min(i, n + m), "delta": delta}
+        sweep = {"s": {"start": overlaps[0], "stop": overlaps[1], "count": count}}
+        assert_sweep_is_the_single_point_route("fock-distribution", params, sweep)
+
     @pytest.mark.parametrize("m", [0, 2])
     @pytest.mark.parametrize("start,stop", [(0.5, 1.5), (0.0, -1.5), (1.0, 1.0 + 4e-12), (1.5, None)])
     def test_overlap_sweep_past_its_domain_stops_at_the_first_bad_point(self, m, start, stop):
@@ -974,8 +990,8 @@ class TestMainEntry:
         assert len(gaps) == 2 and max(gaps) < 1e-10
 
     def test_failing_row_exits_1_with_the_route(self, monkeypatch, capsys):
-        monkeypatch.setattr(fock_interference, "_unit_overlap_block",
-                            lambda n, m, entries: np.full((entries.shape[1], n + m + 1), 1.5 / (n + m + 1)))
+        monkeypatch.setattr(fock_interference, "_unit_overlap_stack", lambda n, m, entries, lowest=0:
+                            np.full((m + 1 - lowest, entries.shape[1], n + m + 1), 1.5 / (n + m + 1)))
         assert main(["eval", "--kind", "fock-distribution", "--set", "n=3", "--set", "m=2",
                      "--set", "delta=1.3"]) == 1
         assert capsys.readouterr().err == ("error: InternalConsistencyError: probabilities sum to "

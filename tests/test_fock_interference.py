@@ -102,6 +102,24 @@ class TestFockInput:
         assert info.value.required == 80
         assert FockInput(32, 32).total == 64
 
+    @pytest.mark.parametrize("n,m,error,message", [
+        (-1, 3, ParameterDomainError, "^photon number n must be >= 0, got -1$"),
+        (3, -1, ParameterDomainError, "^photon number m must be >= 0, got -1$"),
+        (1.0, 2, ParameterDomainError, "^photon number n must be an integer, got 1.0$"),
+        (2, True, ParameterDomainError, "^photon number m must be an integer, got True$"),
+        (0, 65, CapacityError, "^total photon number 65 exceeds the cap of 64$"),
+    ])
+    def test_the_kernel_checks_photon_numbers_as_fock_input_does(self, n, m, error, message):
+        # unchecked, n = -1 reads as a shorter total, m = -1 indexes out of
+        # range and 65 photons run past the cap
+        entries = magnetic_phase_entries(np.array([0.7]))
+        with pytest.raises(error, match=message) as from_input:
+            FockInput(n, m)
+        with pytest.raises(error, match=message) as from_kernel:
+            release_probabilities(n, m, entries)
+        if error is CapacityError:
+            assert from_input.value.required == from_kernel.value.required == 65
+
     def test_default_overlap_is_unit(self):
         assert FockInput(1, 1).overlap.is_unit_overlap()
 
@@ -442,10 +460,12 @@ class TestArrayKernel:
     def test_overlaps_all_at_unit_take_the_unit_form(self, monkeypatch):
         entries = magnetic_phase_entries(np.linspace(0.0, np.pi, 5))
         unit, _ = release_probabilities(6, 6, entries, 1.0)
-        # the mixture's stack would cost 5-19 times the unit-overlap form
-        monkeypatch.setattr(fock_interference, "_unit_overlap_stack", None)
+        # the mixture's whole stack would cost 5-19 times the unit-overlap layer
+        built, stack = [], fock_interference._unit_overlap_stack
+        monkeypatch.setattr(fock_interference, "_unit_overlap_stack",
+                            lambda *args: built.append(stack(*args)) or built[-1])
         raw, ok = release_probabilities(6, 6, entries[:, :, None], np.array([1.0, 1.0 - 5e-9, 1.0 + 1e-13]))
-        assert ok.all() and raw.flags.writeable
+        assert ok.all() and raw.flags.writeable and [len(layers) for layers in built] == [1]
         assert raw.tobytes() == np.repeat(unit[:, None], 3, axis=1).tobytes()
 
     @pytest.mark.parametrize("m", [0, 2])
@@ -486,7 +506,7 @@ class TestArrayKernel:
         entries = transfer_entries(*rng.uniform(-7, 7, size=(6, 20)))
         stack = fock_interference._unit_overlap_stack(n, m, entries)
         for shared, layer in enumerate(stack):
-            unit = fock_interference._unit_overlap_block(n, shared, entries)
+            unit = fock_interference._unit_overlap_stack(n, shared, entries, shared)[0]
             assert np.ascontiguousarray(layer[:, :n + shared + 1]).tobytes() == unit.tobytes()
             assert not layer[:, n + shared + 1:].any()
 
@@ -515,8 +535,8 @@ class TestArrayKernel:
 
     def test_failing_row_raises_the_full_message(self, monkeypatch):
         # a row inside [0, 1] that sums to 1.5 fails only the normalisation check
-        monkeypatch.setattr(fock_interference, "_unit_overlap_block",
-                            lambda n, m, entries: np.full((entries.shape[1], n + m + 1), 1.5 / (n + m + 1)))
+        monkeypatch.setattr(fock_interference, "_unit_overlap_stack", lambda n, m, entries, lowest=0:
+                            np.full((m + 1 - lowest, entries.shape[1], n + m + 1), 1.5 / (n + m + 1)))
         with pytest.raises(InternalConsistencyError) as raised:
             release_distribution(FockInput(3, 2), magnetic_phase_matrix(1.3))
         assert str(raised.value) == ("probabilities sum to 1.500000000000, expected 1 within 1.0e-10 "

@@ -232,6 +232,14 @@ class TestGridKernel:
         assert general_variance(plain_config(0.3, 1.0, 0.0, 1e308, 1e308)) == \
             general_variance(plain_config(0.3, 1.0, 0.0, 0.0, 0.0))
 
+    def test_kernel_rejects_an_unknown_probe_treatment(self):
+        # an unknown treatment must not fall through to the classical variance
+        message = "^probe_treatment must be 'quantum' or 'classical', got 'bogus'$"
+        with pytest.raises(ParameterDomainError, match=message):
+            HomodyneConfig(0.5, 1.0, 0.2, BALANCED_STORAGE, balanced_release(), probe_treatment="bogus")
+        with pytest.raises(ParameterDomainError, match=message):
+            count_difference_variance(0.5, 1.0, 0.2, 0.0, 0.3, 0.0, "bogus")
+
 
 class TestHomodyneOracle:
     def test_quantum_route_matches_closed_form(self, rng):
