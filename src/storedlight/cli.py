@@ -259,6 +259,14 @@ def _transfer_from_params(params: dict):
     return build_transfer_matrix(StageAngles(*angles[:3]), StageAngles(*angles[3:]))
 
 
+def _grid_transfer(grid: dict) -> np.ndarray:
+    """(4, *grid) transfer entries, grid axes possibly 1, NaN where they fail UNITARITY_TOL."""
+    entries = (magnetic_phase_entries(grid["delta"]) if grid.get("delta") is not None
+               else transfer_entries(*(grid.get(key, 0.0) for key in _ANGLE_KEYS)))
+    entries[:, ~(unitarity_defects(entries) <= UNITARITY_TOL)] = np.nan
+    return entries
+
+
 def _fock_distribution(params: dict):
     transfer = _transfer_from_params(params)
     overlap = GramMatrix(params["s"])
@@ -272,13 +280,13 @@ def _fock_distribution(params: dict):
     return release_distribution(fock_input, transfer)
 
 
-def _count_kernel(grid: dict, entries: np.ndarray):
+def _count_kernel(grid: dict):
     n, m, target = grid["n"], grid["m"], grid["i"]
     # the FockInput checks and the count range hold at every point or at none
     if not (min(n, m) >= 0 and 0 <= target <= n + m <= MAX_TOTAL_PHOTONS):
-        return [np.nan], False
+        return [np.nan], np.False_
     # the transfers and the overlap keep their own grid axes
-    probs, passed = release_probabilities(n, m, entries, abs(grid["s"]))
+    probs, passed = release_probabilities(n, m, _grid_transfer(grid), abs(grid["s"]))
     return [np.clip(probs[..., target], 0.0, 1.0)], passed
 
 
@@ -290,15 +298,16 @@ def _count_point(params: dict) -> tuple:
     return (distribution[target],)
 
 
-def _quadrature_kernel(grid: dict, entries: np.ndarray):
-    return quadrature_moments(entries[:2], grid["r1"], grid["r2"],
+def _quadrature_kernel(grid: dict):
+    return quadrature_moments(_grid_transfer(grid)[:2], grid["r1"], grid["r2"],
                               (grid["alpha1_re"], grid["alpha1_im"]),
                               (grid["alpha2_re"], grid["alpha2_im"]))
 
 
-def _uncertainty_kernel(grid: dict, entries: np.ndarray):
-    (_, _, var_q, var_p), passed = _quadrature_kernel(grid, entries)
-    return (var_q, var_p, var_q * var_p), passed
+def _uncertainty_kernel(grid: dict):
+    (_, _, var_q, var_p), passed = _quadrature_kernel(grid)
+    product = var_q * var_p
+    return (var_q, var_p, product), passed & np.isfinite(product)
 
 
 def _released(params: dict):
@@ -313,7 +322,7 @@ def _uncertainty_point(params: dict) -> tuple:
     return stats.var_q, stats.var_p, uncertainty_product(stats)
 
 
-def _homodyne_kernel(grid: dict, entries: np.ndarray):
+def _homodyne_kernel(grid: dict):
     variance, passed = count_difference_variance(grid["r1"], grid["alpha2_mod"], grid["gamma"],
                                                  grid["phi0"], grid["phi1"], 0.0, grid["probe"])
     return [variance], passed
@@ -330,10 +339,9 @@ class _Kind(NamedTuple):
     # parameter name -> (type, default); type is "float" (expression-capable), "int" or "str"
     schema: dict
     columns: tuple
-    # (parameters, each a number or an array broadcastable to the grid;
-    #  (4, *grid) transfer entries whose grid axes may be 1)
-    # -> (value columns, each a number or an array broadcastable to the grid;
-    #     mask of passing points, broadcastable to the grid)
+    # parameters, each a number or an array broadcastable to the grid -> (value columns and
+    # numpy bool mask of passing points, each broadcastable to the grid); the mask alone decides,
+    # so it covers every check and column's finiteness; only kinds reading a transfer build one
     kernel: Callable
     # parameters -> values at one point through the public scalar functions,
     # raising that point's own error
@@ -433,7 +441,8 @@ class Dataset:
 def run_experiment(config: ExperimentConfig) -> Dataset:
     """Evaluate the configured quantity over the grid of ``config.sweep``'s
     checked axis values in one array pass through the kind's kernel.  Each axis
-    is its own grid dimension, and the kernel's columns broadcast over them.
+    is its own grid dimension, the kernel's columns broadcast over them, and
+    its mask alone decides which points fail.
 
     Rows are emitted in row-major order of the sweep axes as declared.  At the
     first point, in that order, that fails a check, the single-point route
@@ -448,23 +457,15 @@ def run_experiment(config: ExperimentConfig) -> Dataset:
     shape = tuple(map(len, axes)) or (1,)
     along = axes if len(axes) < 2 else [
         coords.reshape([-1 if j == k else 1 for j in range(len(axes))]) for k, coords in enumerate(axes)]
-    grid = {**config.params, **dict(zip(names, along))}
-    entries = (magnetic_phase_entries(grid["delta"]) if grid.get("delta") is not None
-               else transfer_entries(*(grid.get(key, 0.0) for key in _ANGLE_KEYS)))
-    if entries.ndim <= len(shape):   # no swept angle: one transfer for the whole grid
-        entries = entries.reshape(4, *[1] * len(shape))
     with np.errstate(all="ignore"):
-        columns, passed = kind.kernel(grid, entries)
+        columns, passed = kind.kernel({**config.params, **dict(zip(names, along))})
     values = np.empty((*shape, len(names) + len(kind.columns)))
     for k, column in enumerate([*along, *columns]):
         values[..., k] = column
-    passed = passed & (unitarity_defects(entries) <= UNITARITY_TOL)
-    for k in range(len(names), values.shape[-1]):
-        passed = passed & np.isfinite(values[..., k])
     if len(shape) > 1:
         values = values.reshape(-1, values.shape[-1])
     if not passed.all():
-        index = np.unravel_index(np.argmin(passed), shape)
+        index = np.unravel_index(np.argmin(np.broadcast_to(passed, shape)), shape)
         point = {**config.params, **{name: float(axis[i]) for name, axis, i in zip(names, axes, index)}}
         where = ", ".join(f"{name}={point[name]!r}" for name in names)
         try:

@@ -38,7 +38,7 @@ from .errors import (
     ParameterDomainError,
     UndefinedRatioError,
 )
-from .mode_transform import OVERLAP_ROUNDING_TOL, UNIT_OVERLAP_TOL, GramMatrix, TransferMatrix
+from .mode_transform import OVERLAP_ROUNDING_TOL, UNIT_OVERLAP_TOL, GramMatrix, TransferMatrix, _entry_stack
 
 # Largest total photon number a FockInput accepts; the closed forms are
 # tested up to it.
@@ -277,9 +277,10 @@ def release_probabilities(n: int, m: int, entries, overlap=1.0) -> tuple[np.ndar
     that pass ReleaseDistribution's PROBABILITY_GUARD and SUM_TOL checks at an
     |s| in [0, 1 + OVERLAP_ROUNDING_TOL], the magnitudes GramMatrix accepts;
     an |s| outside it weighs in as NaN and fails the mask.  n and m are
-    checked as FockInput checks them."""
+    checked as FockInput checks them, and entries whose leading axis is not 4
+    raise ParameterDomainError."""
     n, m = _photon_numbers(n, m)
-    entries = np.asarray(entries, dtype=complex)
+    entries = _entry_stack(entries, 4, "S11, S12, S21, S22")
     overlap = np.asarray(overlap, dtype=float)
     transfers = entries.reshape(4, -1)
     count = transfers.shape[1]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalConsistencyError, ParameterDomainError
-from .mode_transform import TransferMatrix
+from .mode_transform import TransferMatrix, _entry_stack
 
 # Slack on the Heisenberg bound var_q * var_p >= 1/4 before declaring a bug.
 HEISENBERG_SLACK = 1e-12
@@ -122,7 +122,7 @@ def quadrature_moments(row, r1, r2, alpha1, alpha2) -> tuple[np.ndarray, np.ndar
     is (S_c1, S_c2), over a grid of points: row is a (2, ...) complex array
     whose trailing axes broadcast to the grid, r1 and r2 numbers or arrays
     broadcastable to the grid, alpha1 and alpha2 (real, imaginary) pairs of
-    them.
+    them.  A row whose leading axis is not 2 raises ParameterDomainError.
 
     Input A_j enters the released quadrature with weight
     u_j = c_j cosh r_j - c_j* sinh r_j = x_j e^(-r_j) + i y_j e^(r_j) for
@@ -134,7 +134,7 @@ def quadrature_moments(row, r1, r2, alpha1, alpha2) -> tuple[np.ndarray, np.ndar
     four are finite and pass QuadratureStats' HEISENBERG_SLACK check, which
     implies its positivity.
     """
-    row = np.asarray(row, dtype=complex)
+    row = _entry_stack(row, 2, "S_c1, S_c2")
     scales = [(elementwise(math.exp, np.negative(r)), elementwise(math.exp, r)) for r in (r1, r2)]
     moments = []
     for factor in ((1.0, 0.0), (-0.0, -1.0)):   # 1 for q, -1j for p

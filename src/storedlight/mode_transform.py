@@ -118,12 +118,22 @@ def _unitarity_deviations(a, b, c, d):
             a.conjugate() * b + c.conjugate() * d, a * c.conjugate() + b * d.conjugate())
 
 
+def _entry_stack(entries, count: int, names: str) -> np.ndarray:
+    """entries as a complex array whose leading axis holds the count grids
+    named; ParameterDomainError naming the shape for any other leading axis."""
+    entries = np.asarray(entries, dtype=complex)
+    if entries.shape[:1] != (count,):
+        raise ParameterDomainError(f"expected a ({count}, ...) array of {names}, got shape {entries.shape}")
+    return entries
+
+
 def unitarity_defects(entries) -> np.ndarray:
     """TransferMatrix.unitarity_defect at every point of a (4, ...) array of
-    S11, S12, S21, S22, NaN or infinite where an entry is not finite.  numpy's
-    complex products fuse multiply-adds, so the last bits may differ from the
-    method."""
-    return np.maximum.reduce([abs(x) for x in _unitarity_deviations(*np.asarray(entries, dtype=complex))])
+    S11, S12, S21, S22, NaN or infinite where an entry is not finite; any
+    other leading axis raises ParameterDomainError.  numpy's complex products
+    fuse multiply-adds, so the last bits may differ from the method."""
+    entries = _entry_stack(entries, 4, "S11, S12, S21, S22")
+    return np.maximum.reduce([abs(x) for x in _unitarity_deviations(*entries)])
 
 
 # The entry formulas work on Python numbers with math and cmath, and on numpy

@@ -562,7 +562,46 @@ class TestRunners:
         params = {"phi0": 0.4, "phi1": 1.1, "chi21": 0.3, "alpha1_re": 0.5, "alpha2_im": -0.2}
         sweep = {"r1": {"start": -1, "stop": 2, "count": 4}, "r2": {"start": 0.5, "stop": -3, "count": 3}}
         assert_sweep_is_the_single_point_route("quadratures", params, sweep)
-        assert shapes == [(4, 1, 1)]
+        # the (4, 1) entries broadcast over the r1 x r2 grid as they are
+        assert shapes == [(4, 1)]
+
+    def test_homodyne_sweep_builds_no_transfer(self, monkeypatch):
+        # the variance is closed-form in the mixing angles: no transfer entries are read
+        def refuse(*args):
+            raise AssertionError("a homodyne sweep built a transfer")
+
+        monkeypatch.setattr("storedlight.cli.transfer_entries", refuse)
+        monkeypatch.setattr("storedlight.cli.magnetic_phase_entries", refuse)
+        text = run_figure(5).to_csv_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == FIGURE_DIGESTS[5]
+
+    @pytest.mark.parametrize("kind,params,axis,error", [
+        # an infinite stage angle: NaN variance or moments fail the kernel's mask
+        ("homodyne", {"alpha2_mod": 1, "phi1": "1e309"}, ("gamma", 0, 1),
+         "stage angle phi must be finite, got inf at gamma=0.0"),
+        ("quadratures", {"phi1": 0.7, "chi21": "1e309"}, ("r1", 0, 1),
+         "stage angle chi2 must be finite, got inf at r1=0.0"),
+        # finite variances whose product overflows, first at r1 = 150
+        ("uncertainty-product", {"r2": -300, "phi1": 0.7}, ("r1", 0, 300),
+         "uncertainty product of var_q=7.829327050690675e+259 and var_p=5.681437649836067e+129 "
+         "overflows at r1=150.0"),
+    ], ids=["homodyne-angle", "quadratures-phase", "uncertainty-overflow"])
+    def test_kernel_masks_stop_at_the_first_failing_point(self, kind, params, axis, error, tmp_path, capsys):
+        name, start, stop = axis
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"kind": kind, "params": params,
+                                           "sweep": {name: {"start": start, "stop": stop, "count": 3}}}))
+        assert main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "a.csv")]) == 1
+        assert capsys.readouterr().err == f"error: ParameterDomainError: {error}\n"
+
+    def test_the_product_alone_overflows_in_the_uncertainty_sweep(self):
+        # the quadratures at the same points are finite and pass
+        config = ExperimentConfig.from_mapping({"kind": "quadratures", "params": {"r2": -300, "phi1": 0.7},
+                                                "sweep": {"r1": {"start": 0, "stop": 300, "count": 3}}})
+        dataset = run_experiment(config)
+        assert np.isfinite(dataset.values).all()
+        products = [q * p for q, p in zip(dataset.column("var_q").tolist(), dataset.column("var_p").tolist())]
+        assert products[1:] == [math.inf, math.inf]
 
     def test_failing_grid_names_a_point_past_the_leading_axis_start(self, monkeypatch):
         # at phi0 = pi/4, |S11|^2 = (1 + sin 2phi1 cos chi21)/2 falls below

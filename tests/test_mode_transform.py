@@ -15,6 +15,8 @@ from storedlight import (
     gram_from_packets,
     magnetic_phase_matrix,
 )
+from storedlight.fock_interference import release_probabilities
+from storedlight.gaussian_states import quadrature_moments
 from storedlight.mode_transform import (
     UNITARITY_TOL,
     magnetic_phase_entries,
@@ -294,3 +296,18 @@ class TestGridEntries:
         grid = transfer_entries(np.array([0.1, np.inf, np.nan]), 0.0, 0.0, 0.2, 0.0, 0.0)
         assert (unitarity_defects(grid) <= UNITARITY_TOL).tolist() == [True, False, False]
         assert not unitarity_defects(magnetic_phase_entries(np.inf))[0] <= UNITARITY_TOL
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: release_probabilities(1, 1, np.ones((8, 1))),
+         "expected a (4, ...) array of S11, S12, S21, S22, got shape (8, 1)"),
+        (lambda: release_probabilities(1, 1, np.ones((3, 1))),
+         "expected a (4, ...) array of S11, S12, S21, S22, got shape (3, 1)"),
+        (lambda: unitarity_defects(np.ones((3, 2))),
+         "expected a (4, ...) array of S11, S12, S21, S22, got shape (3, 2)"),
+        (lambda: quadrature_moments(np.ones((3, 1)), 0, 0, (0, 0), (0, 0)),
+         "expected a (2, ...) array of S_c1, S_c2, got shape (3, 1)"),
+    ], ids=["release-8", "release-3", "defects-3", "moments-3"])
+    def test_entry_arrays_need_their_leading_axis(self, call, message):
+        with pytest.raises(ParameterDomainError) as raised:
+            call()
+        assert str(raised.value) == message
