@@ -12,7 +12,10 @@ Subcommands:
     eval   --kind KIND [--set k=v ...]     a single point, default to stdout
 
 Exit status is 0 on success, 2 for configuration problems and 1 for runtime
-failures, with a one-line ``error: <type>: <message>`` on stderr.
+failures, with a one-line ``error: <type>: <message>`` on stderr.  A config
+file that cannot be decoded as UTF-8 JSON, an override into a part of the
+configuration that is not a mapping and an axis count numpy cannot size are
+configuration problems; running out of memory is a runtime failure.
 """
 
 from __future__ import annotations
@@ -164,7 +167,7 @@ class ExperimentConfig:
             except KeyError as missing:
                 raise ExperimentConfigError(f"axis {name!r} is missing {missing}") from None
         out = mapping.get("out")
-        if out is not None and not isinstance(out, str):
+        if out is not None and not (isinstance(out, str) and "\0" not in out):
             raise ExperimentConfigError("out must be a path string")
         provided = set(params) | set(bounds)
         missing = [name for name, (_, default) in schema.items()
@@ -193,7 +196,11 @@ class ExperimentConfig:
                 raise ExperimentConfigError(f"axis {name!r} needs count >= 1, got {count}")
             if not math.isfinite(stop - start):
                 raise ExperimentConfigError(f"axis {name!r} from {start!r} to {stop!r} is not finite")
-            sweep[name] = np.linspace(start, stop, count)
+            try:
+                sweep[name] = np.linspace(start, stop, count)
+            # numpy raises IndexError rather than ValueError for counts from 2**63 - 1 to 2**64 - 2
+            except (ValueError, IndexError):
+                raise ExperimentConfigError(f"axis {name!r} count {count} is more than numpy can size") from None
         return cls(kind=kind, params=params, sweep=sweep, out=out, provided=provided)
 
 
@@ -228,24 +235,26 @@ def apply_overrides(mapping: dict, assignments: list[str]) -> dict:
     """Apply ``--set path=value`` pairs onto a raw configuration mapping.
 
     Paths address kind, out, params.NAME, sweep.NAME.start/stop/count; a bare
-    NAME is shorthand for params.NAME.
+    NAME is shorthand for params.NAME.  Each part of the configuration a path
+    passes through must be a mapping, or is created as one.
     """
     for assignment in assignments:
         if "=" not in assignment:
             raise ExperimentConfigError(f"override {assignment!r} is not of the form key=value")
         path, value = assignment.split("=", 1)
-        parts = path.strip().split(".")
-        if parts == ["kind"] or parts == ["out"]:
-            mapping[parts[0]] = value
-        elif parts[0] == "params" and len(parts) == 2:
-            mapping.setdefault("params", {})[parts[1]] = value
-        elif parts[0] == "sweep" and len(parts) == 3:
-            axes = mapping.setdefault("sweep", {})
-            axes.setdefault(parts[1], {})[parts[2]] = value
-        elif len(parts) == 1 and parts[0]:
-            mapping.setdefault("params", {})[parts[0]] = value
-        else:
+        keys = path.strip().split(".")
+        if len(keys) == 1 and keys[0] not in ("kind", "out", ""):
+            keys = ["params", *keys]
+        if len(keys) != {"kind": 1, "out": 1, "params": 2, "sweep": 3}.get(keys[0]):
             raise ExperimentConfigError(f"override path {path!r} is not recognized")
+        place = mapping
+        for depth, key in enumerate(keys):
+            if not isinstance(place, dict):
+                where = ".".join(keys[:depth]) or "the configuration"
+                raise ExperimentConfigError(f"override {path.strip()!r} writes into {where}, which is not a mapping")
+            if depth < len(keys) - 1:
+                place = place.setdefault(key, {})
+        place[keys[-1]] = value
     return mapping
 
 
@@ -430,10 +439,6 @@ class Dataset:
         template = "".join([prefix + prefix.join(block) for prefix in prefixes])
         return header + template % tuple(self.values[:, axes:].ravel().tolist())
 
-    def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(self.to_csv_text())
-
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.columns.index(name)]
 
@@ -499,6 +504,9 @@ def run_single(config: ExperimentConfig) -> Dataset:
 
 _GRID_ANGLE = {"start": 0.0, "stop": "pi/2", "count": 65}
 _GRID_PHASE = {"start": 0.0, "stop": "2*pi", "count": 65}
+# figures 2-4: two squeezed inputs over the release-stage mixing angle and phase
+_SQUEEZED_FIGURE = {"params": {"r1": 1.0, "r2": 0.5, "phi0": "pi/4"},
+                    "sweep": {"phi1": _GRID_ANGLE, "chi21": _GRID_PHASE}}
 
 _FIGURES: dict[int, tuple[dict, tuple]] = {
     1: ({
@@ -506,21 +514,9 @@ _FIGURES: dict[int, tuple[dict, tuple]] = {
         "params": {"n": 6, "m": 6, "i": 6, "s": 1.0, "phi0": "pi/8"},
         "sweep": {"phi1": _GRID_ANGLE, "chi21": _GRID_PHASE},
     }, ("probability",)),
-    2: ({
-        "kind": "quadratures",
-        "params": {"r1": 1.0, "r2": 0.5, "phi0": "pi/4"},
-        "sweep": {"phi1": _GRID_ANGLE, "chi21": _GRID_PHASE},
-    }, ("var_q",)),
-    3: ({
-        "kind": "quadratures",
-        "params": {"r1": 1.0, "r2": 0.5, "phi0": "pi/4"},
-        "sweep": {"phi1": _GRID_ANGLE, "chi21": _GRID_PHASE},
-    }, ("var_p",)),
-    4: ({
-        "kind": "uncertainty-product",
-        "params": {"r1": 1.0, "r2": 0.5, "phi0": "pi/4"},
-        "sweep": {"phi1": _GRID_ANGLE, "chi21": _GRID_PHASE},
-    }, ("product",)),
+    2: ({"kind": "quadratures", **_SQUEEZED_FIGURE}, ("var_q",)),
+    3: ({"kind": "quadratures", **_SQUEEZED_FIGURE}, ("var_p",)),
+    4: ({"kind": "uncertainty-product", **_SQUEEZED_FIGURE}, ("product",)),
     5: ({
         "kind": "homodyne",
         "params": {"r1": 1.0, "alpha2_mod": 20.0, "phi0": "pi/8", "probe": PROBE_QUANTUM},
@@ -574,52 +570,43 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
+def _read_config(path: str):
+    """The JSON value in ``path``; any failure to read it is a configuration error."""
     try:
-        args = parser.parse_args(argv)
-        if args.command == "figure":
-            dataset = run_figure(args.id)
-            dataset.write(args.out)
-        elif args.command == "sweep":
-            try:
-                with open(args.config, encoding="utf-8") as handle:
-                    mapping = json.load(handle)
-            except OSError as exc:
-                raise ExperimentConfigError(f"cannot read config: {exc}") from None
-            except json.JSONDecodeError as exc:
-                raise ExperimentConfigError(f"config is not valid JSON: {exc}") from None
-            mapping = apply_overrides(mapping, args.set)
-            config = ExperimentConfig.from_mapping(mapping)
-            out = args.out or config.out
-            if out is None:
-                raise ExperimentConfigError("no output path: give out in the config or --out")
-            dataset = run_experiment(config)
-            dataset.write(out)
-        else:
-            mapping = apply_overrides({"kind": args.kind}, args.set)
-            config = ExperimentConfig.from_mapping(mapping)
-            dataset = run_single(config)
-            out = args.out or config.out
-            if out is None:
-                sys.stdout.write(dataset.to_csv_text())
-            else:
-                dataset.write(out)
-    except ExperimentConfigError as exc:
-        _report_error(exc)
-        return 2
-    except SimulationError as exc:
-        _report_error(exc)
-        return 1
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
     except OSError as exc:
-        _report_error(exc)
-        return 1
+        raise ExperimentConfigError(f"cannot read config: {exc}") from None
+    # undecodable bytes, nesting past the recursion limit and integers past
+    # Python's digit limit raise these rather than json.JSONDecodeError
+    except (ValueError, RecursionError) as exc:
+        raise ExperimentConfigError(f"config is not valid JSON: {exc}") from None
+
+
+def main(argv=None) -> int:
+    try:
+        args = _build_parser().parse_args(argv)
+        if args.command == "figure":
+            dataset, out = run_figure(args.id), args.out
+        else:
+            sweep = args.command == "sweep"
+            mapping = _read_config(args.config) if sweep else {"kind": args.kind}
+            config = ExperimentConfig.from_mapping(apply_overrides(mapping, args.set))
+            out = args.out or config.out
+            if sweep and out is None:
+                raise ExperimentConfigError("no output path: give out in the config or --out")
+            dataset = (run_experiment if sweep else run_single)(config)
+        text = dataset.to_csv_text()
+        if out is None:
+            sys.stdout.write(text)
+        else:
+            with open(out, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+    except (SimulationError, OSError, MemoryError) as exc:
+        message = " ".join(str(exc).split())
+        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 2 if isinstance(exc, ExperimentConfigError) else 1
     return 0
-
-
-def _report_error(exc: Exception) -> None:
-    message = " ".join(str(exc).split())
-    print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

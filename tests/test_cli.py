@@ -230,6 +230,23 @@ class TestOverrides:
         with pytest.raises(ExperimentConfigError):
             apply_overrides({}, ["a.b.c.d=1"])
 
+    @pytest.mark.parametrize("text,override,where", [
+        ("[]", "n=1", "the configuration"),
+        ('{"kind": "homodyne", "params": [1]}', "alpha2_mod=1", "params"),
+        ('{"kind": "homodyne", "sweep": {"gamma": [1]}}', "sweep.gamma.start=0", "sweep.gamma"),
+        ('"text"', "kind=homodyne", "the configuration"),
+    ], ids=["list", "params-list", "axis-list", "string"])
+    def test_overrides_into_a_non_mapping_exit_2(self, text, override, where, tmp_path, capsys):
+        message = f"override {override.split('=')[0]!r} writes into {where}, which is not a mapping"
+        with pytest.raises(ExperimentConfigError) as raised:
+            apply_overrides(json.loads(text), [override])
+        assert str(raised.value) == message
+        config_path = tmp_path / "run.json"
+        config_path.write_text(text)
+        assert main(["sweep", "--config", str(config_path), "--set", override, "--out", str(tmp_path / "a.csv")]) == 2
+        assert capsys.readouterr() == ("", f"error: ExperimentConfigError: {message}\n")
+        assert not (tmp_path / "a.csv").exists()
+
 
 class TestExperimentConfig:
     def test_minimal_fock(self):
@@ -342,6 +359,42 @@ class TestExperimentConfig:
         with pytest.raises(ExperimentConfigError) as raised:
             ExperimentConfig.from_mapping(mapping)
         assert str(raised.value).startswith(message)
+
+    # each count fails inside numpy before anything is allocated
+    @pytest.mark.parametrize("sweep,message", [
+        ({"gamma": {"start": 0, "stop": 1, "count": 10**20}},
+         "axis 'gamma' count 100000000000000000000 is more than numpy can size"),
+        ({"gamma": {"start": 0, "stop": 1, "count": 2**62}},
+         f"axis 'gamma' count {2**62} is more than numpy can size"),
+        ({"gamma": {"start": 0, "stop": 1, "count": 2**63}},
+         f"axis 'gamma' count {2**63} is more than numpy can size"),
+        # the first declared bad axis is reported
+        ({"phi1": {"start": 0, "stop": 1, "count": 10**20}, "gamma": {"start": 0, "stop": 1, "count": 0}},
+         "axis 'phi1' count 100000000000000000000 is more than numpy can size"),
+        ({"phi1": {"start": 0, "stop": 1, "count": 0}, "gamma": {"start": 0, "stop": 1, "count": 10**20}},
+         "axis 'phi1' needs count >= 1, got 0"),
+    ], ids=["1e20", "2**62", "2**63", "first-of-two", "second-of-two"])
+    def test_axis_count_numpy_cannot_size_exits_2(self, sweep, message, tmp_path, capsys):
+        mapping = {"kind": "homodyne", "params": {"alpha2_mod": 1}, "sweep": sweep}
+        with pytest.raises(ExperimentConfigError) as raised:
+            ExperimentConfig.from_mapping(mapping)
+        assert str(raised.value) == message
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(mapping))
+        assert main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "a.csv")]) == 2
+        assert capsys.readouterr() == ("", f"error: ExperimentConfigError: {message}\n")
+        assert not (tmp_path / "a.csv").exists()
+        # the axis count and span checks come after every other check
+        del mapping["params"]
+        with pytest.raises(ExperimentConfigError, match=r"^kind 'homodyne' requires parameters \['alpha2_mod'\]$"):
+            ExperimentConfig.from_mapping(mapping)
+
+    def test_out_with_a_null_character_exits_2(self, tmp_path, capsys):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"kind": "homodyne", "params": {"alpha2_mod": 1}, "out": "a\0b.csv"}))
+        assert main(["sweep", "--config", str(config_path)]) == 2
+        assert main(["eval", "--kind", "homodyne", "--set", "alpha2_mod=1", "--set", "out=a\0b.csv"]) == 2
+        assert capsys.readouterr() == ("", "error: ExperimentConfigError: out must be a path string\n" * 2)
 
     def test_integral_numbers_are_integers(self):
         config = ExperimentConfig.from_mapping({
@@ -818,6 +871,37 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert captured.out == "" and len(captured.err.splitlines()) == 1
         assert captured.err.startswith(f"error: ExperimentConfigError: {message}")
+
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe" + '{"kind": "homodyne", "params": {"alpha2_mod": 1}}'.encode("utf-16-le"),
+        b"[" * 200_000,
+        b'{"kind": "homodyne", "params": {"alpha2_mod": 1' + b"0" * 5000 + b"}}",
+    ], ids=["utf-16", "deep-nesting", "long-integer"])
+    def test_undecodable_config_files_exit_2(self, content, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_bytes(content)
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "a.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ExperimentConfigError: config is not valid JSON: ")
+        assert not (tmp_path / "a.csv").exists()
+
+    @pytest.mark.parametrize("runner,command", [
+        ("run_figure", ["figure", "--id", "2"]),
+        ("run_experiment", ["sweep", "--config", "run.json"]),
+        ("run_single", ["eval", "--kind", "homodyne", "--set", "alpha2_mod=1"]),
+    ])
+    def test_out_of_memory_exits_1(self, runner, command, tmp_path, monkeypatch, capsys):
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (1, 100000, 100000)")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, runner, exhausted)
+        Path("run.json").write_text(json.dumps({"kind": "homodyne", "params": {"alpha2_mod": 1}}))
+        assert main([*command, "--out", "a.csv"]) == 1
+        assert capsys.readouterr() == ("", "error: MemoryError: Unable to allocate 74.5 GiB for an array "
+                                           "with shape (1, 100000, 100000)\n")
+        assert not Path("a.csv").exists()
 
     @pytest.mark.parametrize("command", [
         ["figure", "--id", "2"],
