@@ -14,8 +14,9 @@ Subcommands:
 Exit status is 0 on success, 2 for configuration problems and 1 for runtime
 failures, with a one-line ``error: <type>: <message>`` on stderr.  A config
 file that cannot be decoded as UTF-8 JSON, an override into a part of the
-configuration that is not a mapping and an axis count numpy cannot size are
-configuration problems; running out of memory is a runtime failure.
+configuration that is not a mapping, an axis count numpy cannot size and a
+grid whose point count numpy cannot size are configuration problems; running
+out of memory is a runtime failure.
 """
 
 from __future__ import annotations
@@ -201,6 +202,12 @@ class ExperimentConfig:
             # numpy raises IndexError rather than ValueError for counts from 2**63 - 1 to 2**64 - 2
             except (ValueError, IndexError):
                 raise ExperimentConfigError(f"axis {name!r} count {count} is more than numpy can size") from None
+        counts = tuple(map(len, sweep.values()))
+        try:
+            np.intp(math.prod(counts))
+        except OverflowError:
+            raise ExperimentConfigError(
+                f"sweep grid of {' x '.join(map(str, counts))} points is more than numpy can size") from None
         return cls(kind=kind, params=params, sweep=sweep, out=out, provided=provided)
 
 

@@ -266,12 +266,12 @@ def release_probabilities(n: int, m: int, entries, overlap=1.0) -> tuple[np.ndar
     the (4, *A) array of S11, S12, S21, S22 and the packet-overlap magnitude
     |s|, a number or an array, span when broadcast together.
 
-    The mixture builds its stack and spread once per transfer and its weights
-    once per overlap, and combines them GRID_CHUNK transfers and GRID_CHUNK
+    A number overlap and an array of overlaps each run one loop over chunks of
+    GRID_CHUNK transfers.  The mixture builds its stack and spread once per
+    transfer and its weights once per overlap, and combines them GRID_CHUNK
     points at a time.  |s| within UNIT_OVERLAP_TOL of 1 counts as 1, where the
     mixture gives the unit-overlap row bit for bit; overlaps all there take
-    the stack's last layer l = m alone instead, in one call for up to
-    GRID_CHUNK transfers.  The weights of the overlaps
+    the stack's last layer l = m alone instead.  The weights of the overlaps
     C(m, l) |s|^2l (1 - |s|^2)^(m - l) are the spread's row l = 0 at |s|^2.
     Returns the unclipped (*grid, n + m + 1) block and the grid's mask of rows
     that pass ReleaseDistribution's PROBABILITY_GUARD and SUM_TOL checks at an
@@ -289,16 +289,13 @@ def release_probabilities(n: int, m: int, entries, overlap=1.0) -> tuple[np.ndar
         usable = 0.0 <= s <= 1.0 + OVERLAP_ROUNDING_TOL
         s = s if usable else math.nan
         unit = abs(1.0 - s) <= UNIT_OVERLAP_TOL
-        if unit and count <= GRID_CHUNK:
-            raw = _unit_overlap_stack(n, m, transfers, m)[0]
-        else:
-            weights, raw = _binomial_spread(m, np.array([s * s]))[0], np.empty((count, n + m + 1))
-            for first in range(0, count, GRID_CHUNK):
-                block = transfers[:, first:first + GRID_CHUNK]
-                raw[first:first + GRID_CHUNK] = (_unit_overlap_stack(n, m, block, m)[0] if unit else
-                                                 _mixture_block(n, m, weights, *_transfer_tables(n, m, block)))
-        if entries.ndim != 2:
-            raw = raw.reshape(entries.shape[1:] + (n + m + 1,))
+        weights = None if unit else _binomial_spread(m, np.array([s * s]))[0]
+        raw = np.empty((count, n + m + 1))
+        for first in range(0, count, GRID_CHUNK):
+            block = transfers[:, first:first + GRID_CHUNK]
+            raw[first:first + GRID_CHUNK] = (_unit_overlap_stack(n, m, block, m)[0] if unit else
+                                             _mixture_block(n, m, weights, *_transfer_tables(n, m, block)))
+        raw = raw.reshape(entries.shape[1:] + (n + m + 1,))
     else:
         s = overlap.ravel()
         usable = (s >= 0.0) & (s <= 1.0 + OVERLAP_ROUNDING_TOL)
@@ -312,12 +309,11 @@ def release_probabilities(n: int, m: int, entries, overlap=1.0) -> tuple[np.ndar
                                                       np.arange(overlap.size).reshape(overlap.shape))
         grid, transfer_of, overlap_of = transfer_of.shape, transfer_of.ravel(), overlap_of.ravel()
         weights = _binomial_spread(m, np.select([unit, usable], [1.0, s], np.nan) ** 2)[0]
-        raw = np.empty((transfer_of.size, n + m + 1))
-        # the grid's points, grouped by the chunk of transfers that serves them
-        order = np.argsort(transfer_of, kind="stable")
-        groups = np.split(order, np.searchsorted(transfer_of, range(GRID_CHUNK, count, GRID_CHUNK), sorter=order))
-        for first, served in zip(range(0, count, GRID_CHUNK), groups):
+        raw, chunk_of = np.empty((transfer_of.size, n + m + 1)), transfer_of // GRID_CHUNK
+        for first in range(0, count, GRID_CHUNK):
             spread, stack = _transfer_tables(n, m, transfers[:, first:first + GRID_CHUNK])
+            # the grid's points that this chunk of transfers serves, in grid order
+            served = np.flatnonzero(chunk_of == first // GRID_CHUNK)
             for points in np.split(served, range(GRID_CHUNK, served.size, GRID_CHUNK)):
                 rows = transfer_of[points] - first
                 raw[points] = _mixture_block(n, m, weights[:, overlap_of[points]], np.take(spread, rows, axis=2),

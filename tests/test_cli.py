@@ -389,6 +389,27 @@ class TestExperimentConfig:
         with pytest.raises(ExperimentConfigError, match=r"^kind 'homodyne' requires parameters \['alpha2_mod'\]$"):
             ExperimentConfig.from_mapping(mapping)
 
+    def test_grid_numpy_cannot_size_exits_2(self, tmp_path, monkeypatch, capsys):
+        # each axis sizes alone; their 10**20 grid points do not, and no kernel runs
+        axis = {"start": 0, "stop": 1, "count": 10**4}
+        mapping = {"kind": "homodyne", "sweep": dict.fromkeys(["r1", "alpha2_mod", "gamma", "phi0", "phi1"], axis)}
+        message = "sweep grid of 10000 x 10000 x 10000 x 10000 x 10000 points is more than numpy can size"
+        with pytest.raises(ExperimentConfigError, match=f"^{message}$"):
+            ExperimentConfig.from_mapping(mapping)
+
+        def kernel(*args, **kwargs):
+            raise AssertionError("the kernel ran")
+
+        monkeypatch.setattr(cli, "count_difference_variance", kernel)
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(mapping))
+        assert main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "a.csv")]) == 2
+        assert capsys.readouterr() == ("", f"error: ExperimentConfigError: {message}\n")
+        assert not (tmp_path / "a.csv").exists()
+        # one axis fewer is a grid numpy can size
+        del mapping["sweep"]["phi1"]
+        assert ExperimentConfig.from_mapping(mapping).sweep.keys() == {"r1", "alpha2_mod", "gamma", "phi0"}
+
     def test_out_with_a_null_character_exits_2(self, tmp_path, capsys):
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps({"kind": "homodyne", "params": {"alpha2_mod": 1}, "out": "a\0b.csv"}))

@@ -491,6 +491,28 @@ class TestArrayKernel:
             single, _ = release_probabilities(5, 3, entries[:, k:k + 1], overlaps[k])
             assert row.tobytes() == single[0].tobytes()
 
+    @pytest.mark.parametrize("s", [1.0, 0.6])
+    def test_number_overlap_across_a_chunk_boundary(self, s, rng):
+        # a transfer that fails unitarity in each chunk puts a False in the mask
+        entries = transfer_entries(*rng.uniform(-7, 7, size=(6, GRID_CHUNK + 57)))
+        entries[:, [5, GRID_CHUNK + 3]] = np.nan
+        raw, ok = release_probabilities(5, 3, entries, s)
+        assert raw.shape == (GRID_CHUNK + 57, 9) and ok.sum() == GRID_CHUNK + 55
+        for k, (row, good) in enumerate(zip(raw, ok)):
+            single, single_ok = release_probabilities(5, 3, entries[:, k:k + 1], s)
+            assert row.tobytes() == single[0].tobytes() and good == single_ok[0]
+
+    @pytest.mark.parametrize("s", [1.0, 0.5])
+    def test_zero_transfers(self, s):
+        entries = np.empty((4, 0), dtype=complex)
+        raw, ok = release_probabilities(3, 2, entries, s)
+        assert (raw.shape, ok.shape) == ((0, 6), (0,))
+        overlaps = np.array([s, 0.2, 1.0])
+        raw, ok = release_probabilities(3, 2, entries[:, :, None], overlaps)
+        assert (raw.shape, ok.shape) == ((0, 3, 6), (0, 3))
+        raw, ok = release_probabilities(3, 2, entries[:, :, None], np.full(3, s))
+        assert (raw.shape, ok.shape) == ((0, 3, 6), (0, 3))
+
     def test_overlap_by_transfer_grid_over_several_chunks(self, rng):
         # transfers on the last axis: each chunk of them serves points spread over the whole grid
         entries = transfer_entries(*rng.uniform(-7, 7, size=(6, 2 * GRID_CHUNK + 57)))
