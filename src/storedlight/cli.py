@@ -15,8 +15,8 @@ Exit status is 0 on success, 2 for configuration problems and 1 for runtime
 failures, with a one-line ``error: <type>: <message>`` on stderr.  A config
 file that cannot be decoded as UTF-8 JSON, an override into a part of the
 configuration that is not a mapping, an axis count numpy cannot size and a
-grid whose point count numpy cannot size are configuration problems; running
-out of memory is a runtime failure.
+grid whose array of axis and value columns numpy cannot size are
+configuration problems; running out of memory is a runtime failure.
 """
 
 from __future__ import annotations
@@ -204,7 +204,8 @@ class ExperimentConfig:
                 raise ExperimentConfigError(f"axis {name!r} count {count} is more than numpy can size") from None
         counts = tuple(map(len, sweep.values()))
         try:
-            np.intp(math.prod(counts))
+            # the bytes of the driver's float array of axis and value columns over the grid
+            np.intp(math.prod(counts) * (len(counts) + len(_KINDS[kind].columns)) * np.dtype(float).itemsize)
         except OverflowError:
             raise ExperimentConfigError(
                 f"sweep grid of {' x '.join(map(str, counts))} points is more than numpy can size") from None

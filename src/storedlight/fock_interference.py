@@ -309,11 +309,12 @@ def release_probabilities(n: int, m: int, entries, overlap=1.0) -> tuple[np.ndar
                                                       np.arange(overlap.size).reshape(overlap.shape))
         grid, transfer_of, overlap_of = transfer_of.shape, transfer_of.ravel(), overlap_of.ravel()
         weights = _binomial_spread(m, np.select([unit, usable], [1.0, s], np.nan) ** 2)[0]
-        raw, chunk_of = np.empty((transfer_of.size, n + m + 1)), transfer_of // GRID_CHUNK
-        for first in range(0, count, GRID_CHUNK):
+        raw = np.empty((transfer_of.size, n + m + 1))
+        # the grid's points, grouped by the chunk of transfers that serves them
+        order = np.argsort(transfer_of, kind="stable")
+        groups = np.split(order, np.searchsorted(transfer_of, range(GRID_CHUNK, count, GRID_CHUNK), sorter=order))
+        for first, served in zip(range(0, count, GRID_CHUNK), groups):
             spread, stack = _transfer_tables(n, m, transfers[:, first:first + GRID_CHUNK])
-            # the grid's points that this chunk of transfers serves, in grid order
-            served = np.flatnonzero(chunk_of == first // GRID_CHUNK)
             for points in np.split(served, range(GRID_CHUNK, served.size, GRID_CHUNK)):
                 rows = transfer_of[points] - first
                 raw[points] = _mixture_block(n, m, weights[:, overlap_of[points]], np.take(spread, rows, axis=2),

@@ -409,6 +409,11 @@ class TestExperimentConfig:
         # one axis fewer is a grid numpy can size
         del mapping["sweep"]["phi1"]
         assert ExperimentConfig.from_mapping(mapping).sweep.keys() == {"r1", "alpha2_mod", "gamma", "phi0"}
+        # 2**60 points fit numpy's index type, but not the 2**65 bytes of their four float columns
+        axis = {"start": 0, "stop": 1, "count": 2**20}
+        mapping = {"kind": "homodyne", "sweep": dict.fromkeys(["r1", "alpha2_mod", "gamma"], axis)}
+        with pytest.raises(ExperimentConfigError, match=r"^sweep grid of 1048576 x 1048576 x 1048576 points "):
+            ExperimentConfig.from_mapping(mapping)
 
     def test_out_with_a_null_character_exits_2(self, tmp_path, capsys):
         config_path = tmp_path / "run.json"
