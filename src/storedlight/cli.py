@@ -217,7 +217,10 @@ def _coerce(type_name: str, key: str, value):
         if isinstance(value, bool):
             raise ExperimentConfigError(f"{key} must be a number, got {value!r}")
         if isinstance(value, (int, float)):
-            return float(value)
+            try:
+                return float(value)
+            except OverflowError:   # an integer past the float range, read as its digits would be
+                return math.inf if value > 0 else -math.inf
         if isinstance(value, str):
             return parse_number_expression(value)
     elif type_name == "int":

@@ -266,13 +266,14 @@ def release_probabilities(n: int, m: int, entries, overlap=1.0) -> tuple[np.ndar
     the (4, *A) array of S11, S12, S21, S22 and the packet-overlap magnitude
     |s|, a number or an array, span when broadcast together.
 
-    A number overlap and an array of overlaps each run one loop over chunks of
-    GRID_CHUNK transfers.  The mixture builds its stack and spread once per
-    transfer and its weights once per overlap, and combines them GRID_CHUNK
-    points at a time.  |s| within UNIT_OVERLAP_TOL of 1 counts as 1, where the
-    mixture gives the unit-overlap row bit for bit; overlaps all there take
-    the stack's last layer l = m alone instead.  The weights of the overlaps
-    C(m, l) |s|^2l (1 - |s|^2)^(m - l) are the spread's row l = 0 at |s|^2.
+    A number overlap and an array of overlaps each take one route, a loop over
+    chunks of GRID_CHUNK transfers.  The mixture builds its stack and spread
+    once per transfer and its weights once per overlap, and combines them
+    GRID_CHUNK points at a time.  |s| within UNIT_OVERLAP_TOL of 1 counts as 1,
+    where the mixture gives the unit-overlap rows bit for bit; a number
+    overlap there takes the stack's last layer l = m alone.  The weights of
+    the overlaps C(m, l) |s|^2l (1 - |s|^2)^(m - l) are the spread's row
+    l = 0 at |s|^2.
     Returns the unclipped (*grid, n + m + 1) block and the grid's mask of rows
     that pass ReleaseDistribution's PROBABILITY_GUARD and SUM_TOL checks at an
     |s| in [0, 1 + OVERLAP_ROUNDING_TOL], the magnitudes GramMatrix accepts;
@@ -299,16 +300,12 @@ def release_probabilities(n: int, m: int, entries, overlap=1.0) -> tuple[np.ndar
     else:
         s = overlap.ravel()
         usable = (s >= 0.0) & (s <= 1.0 + OVERLAP_ROUNDING_TOL)
-        unit = usable & (np.abs(1.0 - s) <= UNIT_OVERLAP_TOL)
-        if unit.all():   # nothing to mix: the unit-overlap rows, repeated along the overlap's axes
-            raw, passed = release_probabilities(n, m, entries, 1.0)
-            grid = np.broadcast_shapes(entries.shape[1:], overlap.shape)
-            return np.broadcast_to(raw, grid + (n + m + 1,)).copy(), np.broadcast_to(passed, grid).copy()
         # each grid point's transfer and overlap, as positions in the flat arrays
         transfer_of, overlap_of = np.broadcast_arrays(np.arange(count).reshape(entries.shape[1:]),
                                                       np.arange(overlap.size).reshape(overlap.shape))
         grid, transfer_of, overlap_of = transfer_of.shape, transfer_of.ravel(), overlap_of.ravel()
-        weights = _binomial_spread(m, np.select([unit, usable], [1.0, s], np.nan) ** 2)[0]
+        weights = _binomial_spread(m, np.select([usable & (np.abs(1.0 - s) <= UNIT_OVERLAP_TOL), usable],
+                                                [1.0, s], np.nan) ** 2)[0]
         raw = np.empty((transfer_of.size, n + m + 1))
         # the grid's points, grouped by the chunk of transfers that serves them
         order = np.argsort(transfer_of, kind="stable")

@@ -117,8 +117,8 @@ def count_difference_variance(r1, alpha2_mod, gamma, phi0, phi1, dchi,
     a classical probe drops its vacuum term sinh^2 r1.  The probed quadrature
     is cosh 2 r1 - sinh 2 r1 cos 2h written without its cancellation on the
     squeezed axis, and an exactly zero weight of e^(+-2 r1) stays zero where
-    the scale overflows.  Where 2 (phi1 - phi0) overflows, cos and sin of it
-    come from the double-angle forms in phi1 - phi0.  Returns the variances,
+    the scale overflows.  Where phi1 - phi0 or twice it overflows, cos and
+    sin of the difference come from each angle's own.  Returns the variances,
     at least one-dimensional over the broadcast shape of the arguments, and
     the mask of points with alpha2_mod >= 0 and a finite W.  Squares are
     float_power's, sinh and exp math's.  At dchi = 0, lift, Im M21 and
@@ -130,15 +130,15 @@ def count_difference_variance(r1, alpha2_mod, gamma, phi0, phi1, dchi,
     two_r = 2.0 * np.asarray(r1, dtype=float)
     sinh_2r = elementwise(math.sinh, two_r)
     phi0, phi1, dchi = (np.asarray(x, dtype=float) for x in (phi0, phi1, dchi))
-    dphi = phi1 - phi0
-    two_dphi = 2.0 * dphi
+    sin_0, cos_0, sin_1, cos_1 = np.sin(phi0), np.cos(phi0), np.sin(phi1), np.cos(phi1)
+    two_dphi = 2.0 * (phi1 - phi0)
     cos_2dphi, sin_2dphi = np.cos(two_dphi), np.sin(two_dphi)
     overflow = np.isinf(two_dphi)
     if overflow.any():
-        cos_d, sin_d = np.cos(dphi), np.sin(dphi)
+        cos_d, sin_d = cos_1 * cos_0 + sin_1 * sin_0, sin_1 * cos_0 - cos_1 * sin_0
         cos_2dphi = np.where(overflow, (cos_d - sin_d) * (cos_d + sin_d), cos_2dphi)
         sin_2dphi = np.where(overflow, 2.0 * sin_d * cos_d, sin_2dphi)
-    sin_0, cos_0, sin_2phi1 = np.sin(phi0), np.cos(phi0), 2.0 * np.sin(phi1) * np.cos(phi1)
+    sin_2phi1 = 2.0 * sin_1 * cos_1
     # M11 = m11 and M21 = re + i im
     lift = 2.0 * np.float_power(np.sin(0.5 * dchi), 2.0) * sin_2phi1
     m11 = cos_2dphi - lift * (2.0 * sin_0 * cos_0)

@@ -464,6 +464,23 @@ class TestExperimentConfig:
         assert err.endswith(" is not finite\n") and len(err.splitlines()) == 1
         assert not (tmp_path / "a.csv").exists()
 
+    @pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+    @pytest.mark.parametrize("where,status,message", [
+        ("params", 1, "ParameterDomainError: squeezing parameter r1 must be finite"),
+        ("sweep", 2, "ExperimentConfigError: axis 'r1' from {sign}inf to 1.0 is not finite"),
+    ], ids=["param", "axis"])
+    def test_integers_past_the_float_range_read_as_their_digits(self, sign, where, status, message, tmp_path,
+                                                                capsys):
+        # float() raises OverflowError on a JSON integer of 309 digits or more
+        digits = sign + "1" + "0" * 400
+        config_path = tmp_path / "run.json"
+        for value in (int(digits), digits):
+            r1 = value if where == "params" else {"start": value, "stop": 1, "count": 3}
+            config_path.write_text(json.dumps({"kind": "quadratures", where: {"r1": r1}}))
+            assert main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "a.csv")]) == status
+            assert capsys.readouterr() == ("", f"error: {message.format(sign=sign)}\n")
+        assert not (tmp_path / "a.csv").exists()
+
 
 class TestRunners:
     def test_sweep_values(self):
@@ -967,6 +984,17 @@ class TestMainEntry:
         late = params.pop("chi21")
         sweep = {"chi21": {"start": late, "stop": float(late) / 2, "count": 3}}
         assert_sweep_is_the_single_point_route("quadratures", {"phi0": 0.3, "phi1": 0.9, "r1": 0.5, **params}, sweep)
+
+    @pytest.mark.parametrize("phi0,phi1", [("-1e308", "1e308"), ("0.3", "1e308"), ("-9e307", "9e307")])
+    def test_overflowing_mixing_angles_exit_0(self, phi0, phi1, capsys):
+        # phi1 - phi0, or twice it, overflows between finite angles
+        assert main(["eval", "--kind", "homodyne", "--set", "alpha2_mod=1", "--set", f"phi0={phi0}",
+                     "--set", f"phi1={phi1}"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "nan" not in captured.out
+        params = {"r1": 0.4, "alpha2_mod": 2, "phi0": phi0, "phi1": phi1}
+        sweep = {"gamma": {"start": 0, "stop": "pi", "count": 5}}
+        assert_sweep_is_the_single_point_route("homodyne", params, sweep)
 
     def test_config_errors_exit_2(self, capsys):
         assert main(["eval", "--kind", "bogus"]) == 2

@@ -457,16 +457,22 @@ class TestArrayKernel:
                 row = release_distribution(fock_input, magnetic_phase_matrix(deltas[t])).probabilities
                 assert np.clip(raw[t, k], 0.0, 1.0).tobytes() == row.tobytes()
 
-    def test_overlaps_all_at_unit_take_the_unit_form(self, monkeypatch):
+    @pytest.mark.parametrize("overlap_first", [False, True])
+    @pytest.mark.parametrize("n,m", [(6, 6), (32, 32), (0, 64), (64, 0), (63, 1)])
+    def test_overlaps_all_at_unit_take_the_unit_form(self, n, m, overlap_first):
+        # an array of overlaps runs the mixture, whose layer sums are longest
+        # at the cap; at |s| = 1 it gives the number route's unit rows bit for bit
         entries = magnetic_phase_entries(np.linspace(0.0, np.pi, 5))
-        unit, _ = release_probabilities(6, 6, entries, 1.0)
-        # the mixture's whole stack would cost 5-19 times the unit-overlap layer
-        built, stack = [], fock_interference._unit_overlap_stack
-        monkeypatch.setattr(fock_interference, "_unit_overlap_stack",
-                            lambda *args: built.append(stack(*args)) or built[-1])
-        raw, ok = release_probabilities(6, 6, entries[:, :, None], np.array([1.0, 1.0 - 5e-9, 1.0 + 1e-13]))
-        assert ok.all() and raw.flags.writeable and [len(layers) for layers in built] == [1]
-        assert raw.tobytes() == np.repeat(unit[:, None], 3, axis=1).tobytes()
+        overlaps = np.array([1.0, 1.0 - 5e-9, 1.0 + 1e-13])
+        unit, _ = release_probabilities(n, m, entries, 1.0)
+        if overlap_first:
+            raw, ok = release_probabilities(n, m, entries[:, None, :], overlaps[:, None])
+            expected = np.repeat(unit[None], 3, axis=0)
+        else:
+            raw, ok = release_probabilities(n, m, entries[:, :, None], overlaps)
+            expected = np.repeat(unit[:, None], 3, axis=1)
+        assert ok.all() and raw.flags.writeable and raw.shape == expected.shape
+        assert raw.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("m", [0, 2])
     @pytest.mark.parametrize("s", [1.0 + 1e-6, 1.0 + 1e-9, -0.5, np.nan])

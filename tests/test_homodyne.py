@@ -225,9 +225,9 @@ class TestGridKernel:
         assert passed.tolist() == [True, False, False]
         with pytest.raises(ParameterDomainError, match="not finite"):
             general_variance(plain_config(400.0, 1.0, 0.0, 0.0, 0.3))
-        # 2 dphi overflows: math.cos raised ValueError here
-        with pytest.raises(ParameterDomainError, match="not finite"):
-            general_variance(plain_config(0.3, 1.0, 0.0, -1e308, 1e308))
+        # dphi itself overflows between finite angles
+        config = plain_config(0.3, 1.0, 0.0, -1e308, 1e308)
+        assert general_variance(config) == pytest.approx(homodyne_oracle(config, cutoff=40), rel=1e-9)
         # 2 phi overflows at equal stage angles, which do not mix
         assert general_variance(plain_config(0.3, 1.0, 0.0, 1e308, 1e308)) == \
             general_variance(plain_config(0.3, 1.0, 0.0, 0.0, 0.0))
@@ -263,6 +263,15 @@ class TestHomodyneOracle:
             closed = balanced_variance(r1, amp, gamma, chi21)
             oracle = homodyne_oracle(config, cutoff=40)
             assert np.allclose(oracle, closed, rtol=1e-8, atol=1e-10)
+
+    @pytest.mark.parametrize("phi0,phi1", [(-1e308, 1e308), (0.3, 1e308), (-9e307, 9e307), (1e308, -1e308)])
+    def test_overflowing_angle_difference_matches_oracle(self, phi0, phi1):
+        # phi1 - phi0 overflows, or it rounds phi0 = 0.3 away and twice it
+        # overflows
+        config = plain_config(0.4, 2.0, 0.3, phi0, phi1)
+        (variance,), passed = count_difference_variance(0.4, 2.0, 0.3, phi0, phi1, 0.0)
+        assert passed.all() and variance == general_variance(config)
+        assert variance == pytest.approx(homodyne_oracle(config, cutoff=60), rel=1e-9)
 
     def test_classical_route_requires_balanced_mixing(self):
         config = plain_config(0.3, 1.0, 0.0, 0.0, 0.3, probe=PROBE_CLASSICAL)
