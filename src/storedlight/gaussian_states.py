@@ -17,14 +17,13 @@ of P points; released_quadratures is that kernel at one point.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InternalConsistencyError, ParameterDomainError
-from .mode_transform import TransferMatrix, _entry_stack
+from .mode_transform import TransferMatrix, _entry_stack, _finite_fields
 
 # Slack on the Heisenberg bound var_q * var_p >= 1/4 before declaring a bug.
 HEISENBERG_SLACK = 1e-12
@@ -40,22 +39,14 @@ class SqueezedInput:
     r2: float
 
     def __post_init__(self):
-        for name in ("alpha1", "alpha2"):
-            value = complex(getattr(self, name))
-            if not cmath.isfinite(value):
-                raise ParameterDomainError(f"displacement {name} must be finite")
-            object.__setattr__(self, name, value)
+        _finite_fields(self, ("alpha1", "alpha2"), complex, "displacement {name} must be finite")
         for name in ("r1", "r2"):
-            value = getattr(self, name)
-            if isinstance(value, complex):
+            if isinstance(getattr(self, name), complex):
                 raise ParameterDomainError(
                     f"squeezing parameter {name} must be real; rotated squeezing axes are "
                     "available only through the covariance helpers"
                 )
-            value = float(value)
-            if not math.isfinite(value):
-                raise ParameterDomainError(f"squeezing parameter {name} must be finite")
-            object.__setattr__(self, name, value)
+            _finite_fields(self, (name,), float, "squeezing parameter {name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -68,11 +59,8 @@ class QuadratureStats:
     var_p: float
 
     def __post_init__(self):
-        for name in ("mean_q", "mean_p", "var_q", "var_p"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise InternalConsistencyError(f"quadrature moment {name} is not finite")
-            object.__setattr__(self, name, value)
+        _finite_fields(self, ("mean_q", "mean_p", "var_q", "var_p"), float,
+                       "quadrature moment {name} is not finite", InternalConsistencyError)
         if self.var_q <= 0 or self.var_p <= 0:
             raise InternalConsistencyError(
                 f"quadrature variances must be positive, got {self.var_q!r}, {self.var_p!r}"

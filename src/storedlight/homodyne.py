@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ParameterDomainError
 from .gaussian_states import _scaled, elementwise
-from .mode_transform import StageAngles, TransferMatrix, build_transfer_matrix
+from .mode_transform import StageAngles, TransferMatrix, _finite_fields, build_transfer_matrix
 
 PROBE_QUANTUM = "quantum"
 PROBE_CLASSICAL = "classical"
@@ -57,11 +57,7 @@ class HomodyneConfig:
     probe_treatment: str = PROBE_QUANTUM
 
     def __post_init__(self):
-        for name in ("r1", "alpha2_mod", "gamma"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ParameterDomainError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+        _finite_fields(self, ("r1", "alpha2_mod", "gamma"), float, "{name} must be finite, got {value!r}")
         if self.alpha2_mod < 0:
             raise ParameterDomainError(f"alpha2_mod must be >= 0, got {self.alpha2_mod}")
         _check_probe_treatment(self.probe_treatment)
@@ -117,22 +113,32 @@ def count_difference_variance(r1, alpha2_mod, gamma, phi0, phi1, dchi,
     a classical probe drops its vacuum term sinh^2 r1.  The probed quadrature
     is cosh 2 r1 - sinh 2 r1 cos 2h written without its cancellation on the
     squeezed axis, and an exactly zero weight of e^(+-2 r1) stays zero where
-    the scale overflows.  Where phi1 - phi0 or twice it overflows, cos and
-    sin of the difference come from each angle's own.  Returns the variances,
-    at least one-dimensional over the broadcast shape of the arguments, and
-    the mask of points with alpha2_mod >= 0 and a finite W.  Squares are
-    float_power's, sinh and exp math's.  At dchi = 0, lift, Im M21 and
-    2 arg M21 = arctan2(2 re im, re^2 - im^2) are +-0, so h is gamma and W
-    rounds as the zero-phase form does, also where 2 phi overflows.  A probe
-    treatment other than PROBE_QUANTUM or PROBE_CLASSICAL raises
-    ParameterDomainError."""
+    the scale overflows.  cos and sin of 2 (phi1 - phi0) add back the
+    rounding error of the difference, so the smaller angle keeps its digits
+    however large the other is; where phi1 - phi0 or twice it overflows, cos
+    and sin of the difference come from each angle's own.  Returns the
+    variances, at least one-dimensional over the broadcast shape of the
+    arguments, and the mask of points with alpha2_mod >= 0 and a finite W.
+    Squares are float_power's, sinh and exp math's.  At dchi = 0, lift,
+    Im M21 and 2 arg M21 = arctan2(2 re im, re^2 - im^2) are +-0, so h is
+    gamma and W rounds as the zero-phase form does, also where 2 phi
+    overflows.  A probe treatment other than PROBE_QUANTUM or PROBE_CLASSICAL
+    raises ParameterDomainError."""
     _check_probe_treatment(probe_treatment)
     two_r = 2.0 * np.asarray(r1, dtype=float)
     sinh_2r = elementwise(math.sinh, two_r)
     phi0, phi1, dchi = (np.asarray(x, dtype=float) for x in (phi0, phi1, dchi))
     sin_0, cos_0, sin_1, cos_1 = np.sin(phi0), np.cos(phi0), np.sin(phi1), np.cos(phi1)
-    two_dphi = 2.0 * (phi1 - phi0)
-    cos_2dphi, sin_2dphi = np.cos(two_dphi), np.sin(two_dphi)
+    # phi1 - phi0 = dphi + lost exactly (Knuth's two-sum); where the
+    # difference is exact, lost is 0 and the angle sums give cos and sin of
+    # 2 dphi unchanged
+    dphi = phi1 - phi0
+    back = dphi - phi1
+    lost = (phi1 - (dphi - back)) - (phi0 + back)
+    two_dphi = 2.0 * dphi
+    cos_2d, sin_2d = np.cos(two_dphi), np.sin(two_dphi)
+    cos_2l, sin_2l = np.cos(2.0 * lost), np.sin(2.0 * lost)
+    cos_2dphi, sin_2dphi = cos_2d * cos_2l - sin_2d * sin_2l, sin_2d * cos_2l + cos_2d * sin_2l
     overflow = np.isinf(two_dphi)
     if overflow.any():
         cos_d, sin_d = cos_1 * cos_0 + sin_1 * sin_0, sin_1 * cos_0 - cos_1 * sin_0

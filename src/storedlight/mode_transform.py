@@ -46,6 +46,17 @@ UNIT_OVERLAP_TOL = 1e-8
 OVERLAP_ROUNDING_TOL = 1e-12
 
 
+def _finite_fields(instance, names, convert, message, error=ParameterDomainError):
+    """Store convert of each named field of a frozen dataclass instance, in
+    order; error(message) with the field's name and converted value
+    formatted in at the first value that is not finite."""
+    for name in names:
+        value = convert(getattr(instance, name))
+        if not cmath.isfinite(value):
+            raise error(message.format(name=name, value=value))
+        object.__setattr__(instance, name, value)
+
+
 @dataclass(frozen=True)
 class StageAngles:
     """Control-field parameters of one storage or release stage.
@@ -60,11 +71,7 @@ class StageAngles:
     chi3: float
 
     def __post_init__(self):
-        for name in ("phi", "chi2", "chi3"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ParameterDomainError(f"stage angle {name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+        _finite_fields(self, ("phi", "chi2", "chi3"), float, "stage angle {name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -81,11 +88,7 @@ class TransferMatrix:
     s22: complex
 
     def __post_init__(self):
-        for name in ("s11", "s12", "s21", "s22"):
-            value = complex(getattr(self, name))
-            if not cmath.isfinite(value):
-                raise ParameterDomainError(f"matrix entry {name} must be finite")
-            object.__setattr__(self, name, value)
+        _finite_fields(self, ("s11", "s12", "s21", "s22"), complex, "matrix entry {name} must be finite")
         defect = self.unitarity_defect()
         if defect > UNITARITY_TOL:
             raise ParameterDomainError(
@@ -268,18 +271,15 @@ class GramMatrix:
     s_overlap: complex
 
     def __post_init__(self):
-        value = complex(self.s_overlap)
-        if not cmath.isfinite(value):
-            raise ParameterDomainError("packet overlap must be finite")
-        magnitude = abs(value)
+        _finite_fields(self, ("s_overlap",), complex, "packet overlap must be finite")
+        magnitude = abs(self.s_overlap)
         if magnitude > 1.0:
             if magnitude > 1.0 + OVERLAP_ROUNDING_TOL:
                 raise ParameterDomainError(
                     f"packet overlap magnitude {magnitude:.12g} exceeds 1; the Gram matrix "
                     "would not be positive semidefinite"
                 )
-            value /= magnitude
-        object.__setattr__(self, "s_overlap", value)
+            object.__setattr__(self, "s_overlap", self.s_overlap / magnitude)
 
     @property
     def matrix(self) -> np.ndarray:

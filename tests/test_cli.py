@@ -996,6 +996,15 @@ class TestMainEntry:
         sweep = {"gamma": {"start": 0, "stop": "pi", "count": 5}}
         assert_sweep_is_the_single_point_route("homodyne", params, sweep)
 
+    def test_large_mixing_angles_keep_their_digits(self, capsys):
+        # phi1 - phi0 rounds phi0 = 0.3 away; homodyne_oracle gives 4.16256465314
+        assert main(["eval", "--kind", "homodyne", "--set", "r1=0.4", "--set", "alpha2_mod=2", "--set", "gamma=0.3",
+                     "--set", "phi0=0.3", "--set", "phi1=1e17"]) == 0
+        assert capsys.readouterr().out == "var_k\n4.16256465314\n"
+        params = {"r1": 0.4, "alpha2_mod": 2, "gamma": 0.3, "phi0": 0.3}
+        sweep = {"phi1": {"start": "1e8", "stop": "1e300", "count": 5}}
+        assert_sweep_is_the_single_point_route("homodyne", params, sweep)
+
     def test_config_errors_exit_2(self, capsys):
         assert main(["eval", "--kind", "bogus"]) == 2
         assert main(["eval", "--kind", "fock-distribution", "--set", "n=1"]) == 2

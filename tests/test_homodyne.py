@@ -136,12 +136,17 @@ class TestGridKernel:
             r1, gamma, phi0, phi1 = rng.normal(0, 2, 4)
             amp = abs(rng.normal(0, 5))
             probe = (PROBE_QUANTUM, PROBE_CLASSICAL)[int(rng.integers(2))]
-            two_dphi = 2.0 * (phi1 - phi0)
+            # 2 (phi1 - phi0) as 2 dphi + 2 lost, dphi + lost its exact two-sum
+            dphi = phi1 - phi0
+            back = dphi - phi1
+            lost = (phi1 - (dphi - back)) - (phi0 + back)
+            cos_d, sin_d, cos_l, sin_l = (f(2.0 * x) for x in (dphi, lost) for f in (math.cos, math.sin))
+            cos_2dphi, sin_2dphi = cos_d * cos_l - sin_d * sin_l, sin_d * cos_l + cos_d * sin_l
             direct = 0.5 * math.sinh(2.0 * r1) ** 2 + amp ** 2
             cross = amp ** 2 * (math.exp(-2.0 * r1) * math.cos(gamma) ** 2
                                 + math.exp(2.0 * r1) * math.sin(gamma) ** 2)
             cross += math.sinh(r1) ** 2 if probe == PROBE_QUANTUM else 0.0
-            expected = math.cos(two_dphi) ** 2 * direct + math.sin(two_dphi) ** 2 * cross
+            expected = cos_2dphi ** 2 * direct + sin_2dphi ** 2 * cross
             got = general_variance(plain_config(r1, amp, gamma, phi0, phi1, probe=probe))
             assert got.hex() == expected.hex()
 
@@ -273,6 +278,17 @@ class TestHomodyneOracle:
         assert passed.all() and variance == general_variance(config)
         assert variance == pytest.approx(homodyne_oracle(config, cutoff=60), rel=1e-9)
 
+    @pytest.mark.parametrize("phi1", [1e4, 1e8, 1e12, 1e17, 1e300, -1e4, -1e8, -1e12, -1e17, -1e300])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_large_angle_difference_matches_oracle(self, phi1, swap):
+        # phi1 - phi0 rounds away digits of phi0 = 0.3, all of them at 1e17
+        # and beyond
+        phi0 = 0.3
+        if swap:
+            phi0, phi1 = phi1, phi0
+        config = plain_config(0.4, 2.0, 0.3, phi0, phi1)
+        assert general_variance(config) == pytest.approx(homodyne_oracle(config, cutoff=60), rel=1e-12)
+
     def test_classical_route_requires_balanced_mixing(self):
         config = plain_config(0.3, 1.0, 0.0, 0.0, 0.3, probe=PROBE_CLASSICAL)
         with pytest.raises(ParameterDomainError):
@@ -311,7 +327,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_nonfinite_fields(self, field, value):
         fields = {"r1": 0.1, "alpha2_mod": 1.0, "gamma": 0.0, field: value}
-        with pytest.raises(ParameterDomainError, match=f"^{field} must be finite"):
+        with pytest.raises(ParameterDomainError, match=f"^{field} must be finite, got {float(value)!r}$"):
             HomodyneConfig(**fields, storage=BALANCED_STORAGE, release=balanced_release())
 
     def test_probe_amplitude_convention(self):

@@ -75,8 +75,10 @@ class TestBuildTransferMatrix:
                            np.diag([np.exp(0.4j), np.exp(-0.7j)]), atol=1e-15)
 
     def test_rejects_nonfinite_angle(self):
-        with pytest.raises(ParameterDomainError):
+        with pytest.raises(ParameterDomainError, match="^stage angle phi must be finite, got inf$"):
             StageAngles(np.inf, 0.0, 0.0)
+        with pytest.raises(ParameterDomainError, match="^stage angle chi3 must be finite, got nan$"):
+            StageAngles(0.0, 0.0, np.nan)
 
     @pytest.mark.parametrize("point,reference", OVERFLOWING_PHASES)
     def test_overflowing_phase_difference_matches_mpmath(self, point, reference):
