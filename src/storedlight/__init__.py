@@ -13,7 +13,6 @@ from .errors import (
     ExperimentConfigError,
     InternalConsistencyError,
     NormalizationError,
-    OverlapDomainError,
     ParameterDomainError,
     SimulationError,
     UndefinedRatioError,
@@ -24,7 +23,6 @@ from .fock_interference import (
     fano_factor,
     mean_release_count,
     release_distribution,
-    release_distribution_unit_overlap,
     release_variance,
 )
 from .gaussian_states import (
@@ -73,7 +71,6 @@ __all__ = [
     "ModeBasis",
     "NormalizationError",
     "OccupationBasis",
-    "OverlapDomainError",
     "PROBE_CLASSICAL",
     "PROBE_QUANTUM",
     "ParameterDomainError",
@@ -99,7 +96,6 @@ __all__ = [
     "oracle_distribution",
     "oracle_moments",
     "release_distribution",
-    "release_distribution_unit_overlap",
     "release_variance",
     "released_number_operator",
     "released_quadratures",

@@ -34,8 +34,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import ExperimentConfigError, InternalConsistencyError, SimulationError
-from .fock_interference import (MAX_TOTAL_PHOTONS, FockInput, release_distribution,
-                                release_distribution_unit_overlap, release_probabilities)
+from .fock_interference import MAX_TOTAL_PHOTONS, FockInput, release_distribution, release_probabilities
 from .gaussian_states import (SqueezedInput, quadrature_moments, released_quadratures,
                               uncertainty_product)
 from .homodyne import (PROBE_CLASSICAL, PROBE_QUANTUM, HomodyneConfig, count_difference_variance,
@@ -45,6 +44,9 @@ from .mode_transform import (UNITARITY_TOL, GramMatrix, StageAngles,
                              transfer_entries, unitarity_defects)
 
 SIGNIFICANT_DIGITS = 12
+
+# the name bench/tracing.py wraps to time single-point counts
+release_distribution_unit_overlap = release_distribution
 
 
 # ----------------------------------------------------------------------
@@ -289,15 +291,7 @@ def _grid_transfer(grid: dict) -> np.ndarray:
 
 def _fock_distribution(params: dict):
     transfer = _transfer_from_params(params)
-    overlap = GramMatrix(params["s"])
-    fock_input = FockInput(params["n"], params["m"], overlap)
-    # release_distribution would dispatch on the overlap by itself; a single
-    # point calls the unit-overlap form by name so that per-layer spans wrapped
-    # around the names this module binds still see it (sweeps bypass both
-    # names through release_probabilities)
-    if overlap.is_unit_overlap():
-        return release_distribution_unit_overlap(fock_input, transfer)
-    return release_distribution(fock_input, transfer)
+    return release_distribution_unit_overlap(FockInput(params["n"], params["m"], GramMatrix(params["s"])), transfer)
 
 
 def _count_kernel(grid: dict):

@@ -17,11 +17,6 @@ class NormalizationError(SimulationError, ValueError):
         self.measured_norm = measured_norm
 
 
-class OverlapDomainError(SimulationError, ValueError):
-    """A closed form restricted to fully overlapping packets was given partial
-    overlap.  ``release_distribution`` handles the general case."""
-
-
 class CapacityError(SimulationError, ValueError):
     """A requested construction exceeds a configured size limit.
 

@@ -19,8 +19,8 @@ release_probabilities evaluates both forms at once on a grid of transfer
 matrices and packet overlaps, array in and array out, with the transfers and
 the overlaps on axes of their own: the mixture builds what it needs of each
 transfer once and the weights of each overlap once, in fixed-size chunks.
-release_distribution and release_distribution_unit_overlap are that kernel
-at a single point, with its validation and error messages.
+release_distribution is that kernel at a single point, with its validation
+and error messages.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import numpy as np
 from .errors import (
     CapacityError,
     InternalConsistencyError,
-    OverlapDomainError,
     ParameterDomainError,
     UndefinedRatioError,
 )
@@ -320,21 +319,6 @@ def release_probabilities(n: int, m: int, entries, overlap=1.0) -> tuple[np.ndar
     in_range, normalised = _guard_checks(raw)
     # at m = 0 the weight is NaN^0 = 1, so an unusable overlap can leave a passing row
     return raw, in_range & normalised & usable
-
-
-def release_distribution_unit_overlap(fock_input: FockInput, transfer: TransferMatrix) -> ReleaseDistribution:
-    """Exact photon-count distribution in output channel 1 for unit overlap.
-
-    Valid when the two stored packets coincide up to a phase (a pure phase on
-    the overlap is a redefinition of the second packet mode and drops out).
-    """
-    if not fock_input.overlap.is_unit_overlap():
-        raise OverlapDomainError(
-            f"packet overlap magnitude is {fock_input.overlap.overlap_magnitude:.12g}; the "
-            "unit-overlap distribution needs fully overlapping packets. Use "
-            "release_distribution for partial overlap."
-        )
-    return release_distribution(fock_input, transfer)
 
 
 def release_distribution(fock_input: FockInput, transfer: TransferMatrix) -> ReleaseDistribution:

@@ -146,19 +146,32 @@ def unitarity_defects(entries) -> np.ndarray:
 # complex product would promote the real factor to x + 0j and fuse
 # multiply-adds, which can flip the sign of an underflowed part.  The matrix
 # constructors stay scalar: numpy's per-call cost would dominate one point.
-# Two finite control phases of opposite sign can have an infinite difference;
-# there e^{i(late - early)} is the product e^{i late} e^{-i early}, on the
-# array side written as CPython's complex product of the stacked parts.
+# e^{i(late - early)} takes the rounded difference, times e^{i lost} where
+# the difference rounded away digits: late - early = difference + lost
+# exactly (Knuth's two-sum), so a small phase keeps its digits however large
+# the other is.  Two finite control phases of opposite sign can have an
+# infinite difference; there the phasor is the product e^{i late} e^{-i early}.
+# The array side writes both products as CPython's complex product of the
+# stacked parts.
 
 def _number_times(x: float, z: complex) -> complex:
     return complex(x * z.real, x * z.imag)
 
 
+def _rounding_error(difference, late, early):
+    """late - early - difference, exact where difference = late - early is
+    finite."""
+    back = difference - late
+    return (late - (difference - back)) - (early + back)
+
+
 def _phase_number(late: float, early: float) -> complex:
     difference = late - early
-    if math.isfinite(difference):
-        return cmath.exp(1j * difference)
-    return cmath.exp(1j * late) * cmath.exp(-1j * early)
+    if not math.isfinite(difference):
+        return cmath.exp(1j * late) * cmath.exp(-1j * early)
+    lost = _rounding_error(difference, late, early)
+    phase = cmath.exp(1j * difference)
+    return phase if lost == 0.0 else phase * cmath.exp(1j * lost)
 
 
 def _exp_parts(z: np.ndarray) -> np.ndarray:
@@ -168,13 +181,22 @@ def _exp_parts(z: np.ndarray) -> np.ndarray:
     return np.array([w.real, w.imag])
 
 
+def _parts_product(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """CPython's complex product of two stacks of real and imaginary parts."""
+    (p, q), (u, v) = first, second
+    return np.array([p * u - q * v, p * v + q * u])
+
+
 def _phase_parts(late: np.ndarray, early: np.ndarray) -> np.ndarray:
     difference = late - early
     parts = _exp_parts(1j * difference)
+    lost = _rounding_error(difference, late, early)
+    if lost.any():
+        carried = np.isfinite(lost) & (lost != 0.0)
+        parts = np.where(carried, _parts_product(parts, _exp_parts(1j * lost)), parts)
     overflow = np.isinf(difference)
     if overflow.any():
-        (p, q), (u, v) = _exp_parts(1j * late), _exp_parts(-1j * early)
-        parts = np.where(overflow, np.array([p * u - q * v, p * v + q * u]), parts)
+        parts = np.where(overflow, _parts_product(_exp_parts(1j * late), _exp_parts(-1j * early)), parts)
     return parts
 
 

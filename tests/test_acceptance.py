@@ -29,7 +29,7 @@ from storedlight import (
     mean_release_count,
     oracle_distribution,
     oracle_moments,
-    release_distribution_unit_overlap,
+    release_distribution,
     release_variance,
     released_number_operator,
     released_quadratures,
@@ -76,9 +76,9 @@ def test_02_pair_coincidence_exact_values(capsys):
     deltas = np.linspace(0.0, 2.0 * np.pi, 100)
     worst = 0.0
     for delta in deltas:
-        dist = release_distribution_unit_overlap(FockInput(1, 1), magnetic_phase_matrix(delta))
+        dist = release_distribution(FockInput(1, 1), magnetic_phase_matrix(delta))
         worst = max(worst, abs(dist[1] - math.cos(delta) ** 2))
-    coalescence = release_distribution_unit_overlap(
+    coalescence = release_distribution(
         FockInput(1, 1), magnetic_phase_matrix(np.pi / 2))[1]
     ok = worst < 1e-12 and coalescence < 1e-12
     announce(capsys, 2, "one photon per channel follows cos^2", ok,
@@ -96,7 +96,7 @@ def test_03_counting_oracle_equivalence(capsys):
         transfer = random_transfer(rng)
         number_op = released_number_operator(transfer, basis)
         for (n, m), state in states.items():
-            closed = release_distribution_unit_overlap(FockInput(n, m), transfer)
+            closed = release_distribution(FockInput(n, m), transfer)
             oracle = oracle_distribution(state, number_op)
             worst = max(worst, float(np.max(np.abs(
                 closed.probabilities - oracle.probabilities))))

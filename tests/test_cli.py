@@ -34,7 +34,6 @@ from storedlight import (
     magnetic_phase_matrix,
     mean_release_count,
     release_distribution,
-    release_distribution_unit_overlap,
     release_variance,
 )
 from storedlight.cli import (
@@ -795,7 +794,7 @@ class TestRunners:
 
 def _single_point_succeeds(n, m, delta):
     try:
-        release_distribution_unit_overlap(FockInput(n, m), magnetic_phase_matrix(delta))
+        release_distribution(FockInput(n, m), magnetic_phase_matrix(delta))
     except InternalConsistencyError:
         return False
     return True
@@ -1004,6 +1003,16 @@ class TestMainEntry:
         params = {"r1": 0.4, "alpha2_mod": 2, "gamma": 0.3, "phi0": 0.3}
         sweep = {"phi1": {"start": "1e8", "stop": "1e300", "count": 5}}
         assert_sweep_is_the_single_point_route("homodyne", params, sweep)
+
+    def test_large_control_phases_keep_their_digits(self, capsys):
+        # chi21 - chi20 rounds chi20 = 0.3 away; a 60-digit product of
+        # phasors gives 0.96098245451466
+        assert main(["eval", "--kind", "fock-distribution", "--set", "n=1", "--set", "m=1", "--set", "i=1",
+                     "--set", "phi0=0.4", "--set", "chi20=0.3", "--set", "phi1=1.1", "--set", "chi21=1e17"]) == 0
+        assert capsys.readouterr().out == "probability\n0.960982454515\n"
+        params = {"n": 1, "m": 1, "i": 1, "phi0": 0.4, "chi20": 0.3, "phi1": 1.1}
+        sweep = {"chi21": {"start": "1e8", "stop": "1e300", "count": 5}}
+        assert_sweep_is_the_single_point_route("fock-distribution", params, sweep)
 
     def test_config_errors_exit_2(self, capsys):
         assert main(["eval", "--kind", "bogus"]) == 2

@@ -12,7 +12,6 @@ from storedlight import (
     FockInput,
     GramMatrix,
     InternalConsistencyError,
-    OverlapDomainError,
     ParameterDomainError,
     ReleaseDistribution,
     StageAngles,
@@ -22,7 +21,6 @@ from storedlight import (
     magnetic_phase_matrix,
     mean_release_count,
     release_distribution,
-    release_distribution_unit_overlap,
     release_variance,
 )
 from storedlight import fock_interference
@@ -127,27 +125,27 @@ class TestFockInput:
 class TestReleaseDistributionUnitOverlap:
     def test_identity_keeps_input(self):
         identity = build_transfer_matrix(StageAngles(0, 0, 0), StageAngles(0, 0, 0))
-        dist = release_distribution_unit_overlap(FockInput(3, 2), identity)
+        dist = release_distribution(FockInput(3, 2), identity)
         assert np.allclose(dist.probabilities, [0, 0, 0, 1, 0, 0], atol=1e-14)
 
     def test_full_swap_moves_input(self):
-        dist = release_distribution_unit_overlap(FockInput(3, 2), magnetic_phase_matrix(np.pi))
+        dist = release_distribution(FockInput(3, 2), magnetic_phase_matrix(np.pi))
         assert np.allclose(dist.probabilities, [0, 0, 1, 0, 0, 0], atol=1e-14)
 
     def test_single_photon_routing(self, rng):
         for _ in range(10):
             transfer = random_transfer(rng)
-            from_one = release_distribution_unit_overlap(FockInput(1, 0), transfer)
+            from_one = release_distribution(FockInput(1, 0), transfer)
             assert np.allclose(from_one.probabilities,
                                [abs(transfer.s21) ** 2, abs(transfer.s11) ** 2], atol=1e-13)
-            from_two = release_distribution_unit_overlap(FockInput(0, 1), transfer)
+            from_two = release_distribution(FockInput(0, 1), transfer)
             assert np.allclose(from_two.probabilities,
                                [abs(transfer.s22) ** 2, abs(transfer.s12) ** 2], atol=1e-13)
 
     def test_pair_coincidence_follows_cos_squared(self, rng):
         # one photon per channel through the magnetic splitter
         for delta in rng.uniform(0, 2 * np.pi, size=25):
-            dist = release_distribution_unit_overlap(
+            dist = release_distribution(
                 FockInput(1, 1), magnetic_phase_matrix(delta))
             assert np.allclose(dist[1], np.cos(delta) ** 2, atol=1e-13)
 
@@ -157,11 +155,11 @@ class TestReleaseDistributionUnitOverlap:
         for phi0, phi1 in rng.uniform(0, 2 * np.pi, size=(25, 2)):
             transfer = build_transfer_matrix(
                 StageAngles(phi1, 0.0, 0.0), StageAngles(phi0, 0.0, 0.0))
-            dist = release_distribution_unit_overlap(FockInput(1, 1), transfer)
+            dist = release_distribution(FockInput(1, 1), transfer)
             assert np.allclose(dist[1], np.cos(2 * (phi1 - phi0)) ** 2, atol=1e-12)
 
     def test_coalescence_at_quarter_period(self):
-        dist = release_distribution_unit_overlap(
+        dist = release_distribution(
             FockInput(1, 1), magnetic_phase_matrix(np.pi / 2))
         assert dist[1] < 1e-14
         assert np.allclose(dist[0], 0.5, atol=1e-13)
@@ -171,14 +169,9 @@ class TestReleaseDistributionUnitOverlap:
         for n in range(5):
             for m in range(5):
                 transfer = random_transfer(rng)
-                dist = release_distribution_unit_overlap(FockInput(n, m), transfer)
+                dist = release_distribution(FockInput(n, m), transfer)
                 assert np.allclose(dist.probabilities,
                                    expansion_distribution(n, m, transfer), atol=1e-12)
-
-    def test_partial_overlap_is_refused(self, rng):
-        fock_input = FockInput(1, 1, GramMatrix(0.5))
-        with pytest.raises(OverlapDomainError):
-            release_distribution_unit_overlap(fock_input, random_transfer(rng))
 
     @given(st.integers(0, 6), st.integers(0, 6),
            st.floats(-7, 7, allow_nan=False), st.floats(-7, 7, allow_nan=False),
@@ -186,7 +179,7 @@ class TestReleaseDistributionUnitOverlap:
     @settings(max_examples=60, deadline=None)
     def test_is_a_probability_vector(self, n, m, p0, c2, p1, c21):
         transfer = build_transfer_matrix(StageAngles(p0, c2, 0.0), StageAngles(p1, c21, 0.0))
-        dist = release_distribution_unit_overlap(FockInput(n, m), transfer)
+        dist = release_distribution(FockInput(n, m), transfer)
         assert len(dist) == n + m + 1
         assert dist.probabilities.min() >= 0.0
         assert abs(dist.probabilities.sum() - 1.0) < 1e-10
@@ -200,7 +193,7 @@ class TestReleaseDistributionAnyOverlap:
             transfer = random_transfer(rng)
             fock_input = FockInput(3, 2, GramMatrix(s))
             got = release_distribution(fock_input, transfer).probabilities
-            want = release_distribution_unit_overlap(fock_input, transfer).probabilities
+            want = release_distribution(FockInput(3, 2), transfer).probabilities
             assert got.tobytes() == want.tobytes()
 
     def test_orthogonal_packets_give_two_binomials(self, rng):
@@ -216,7 +209,7 @@ class TestReleaseDistributionAnyOverlap:
         # 1 - 1e-9 counts as unit overlap; the wider gaps take the mixture
         for n, m in ((1, 1), (3, 4), (6, 6)):
             transfer = random_transfer(rng)
-            unit = release_distribution_unit_overlap(FockInput(n, m), transfer)
+            unit = release_distribution(FockInput(n, m), transfer)
             for gap in (1e-9, 2e-8, 1e-7):
                 overlap = GramMatrix((1.0 - gap) * np.exp(0.4j))
                 assert overlap.is_unit_overlap() == (gap == 1e-9)
@@ -240,7 +233,7 @@ class TestMoments:
             transfer = random_transfer(rng)
             n, m = int(rng.integers(0, 5)), int(rng.integers(0, 5))
             fock_input = FockInput(n, m)
-            dist = release_distribution_unit_overlap(fock_input, transfer)
+            dist = release_distribution(fock_input, transfer)
             assert np.allclose(dist.mean(), mean_release_count(fock_input, transfer), atol=1e-12)
             assert np.allclose(dist.variance(), release_variance(fock_input, transfer), atol=1e-11)
 
@@ -540,11 +533,11 @@ class TestArrayKernel:
 
     def test_failed_guard_names_the_route(self, monkeypatch):
         unit, partial = FockInput(32, 32), FockInput(32, 32, GramMatrix(0.9))
-        release_distribution_unit_overlap(unit, magnetic_phase_matrix(1.3))
+        release_distribution(unit, magnetic_phase_matrix(1.3))
         release_distribution(partial, magnetic_phase_matrix(1.3))
         overshoot_unit_overlap(monkeypatch, lambda entries: np.ones(entries.shape[1], dtype=bool))
         with pytest.raises(InternalConsistencyError, match=r"\(unit-overlap closed form\)"):
-            release_distribution_unit_overlap(unit, magnetic_phase_matrix(1.3))
+            release_distribution(unit, magnetic_phase_matrix(1.3))
         with pytest.raises(InternalConsistencyError, match=r"\(partial-overlap closed form\)"):
             release_distribution(partial, magnetic_phase_matrix(1.3))
 

@@ -20,7 +20,6 @@ from storedlight import (
     oracle_distribution,
     oracle_moments,
     release_distribution,
-    release_distribution_unit_overlap,
     release_variance,
     released_number_operator,
 )
@@ -153,7 +152,7 @@ class TestOracleAgaintClosedForms:
             state = build_fock_input(n, m, mode_basis)
             op = released_number_operator(transfer, mode_basis)
             got = oracle_distribution(state, op)
-            want = release_distribution_unit_overlap(FockInput(n, m), transfer)
+            want = release_distribution(FockInput(n, m), transfer)
             assert np.allclose(got.probabilities, want.probabilities, atol=1e-11)
 
     def test_distribution_at_partial_overlap(self, rng):

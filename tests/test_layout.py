@@ -24,3 +24,14 @@ def test_oracles_stay_off_the_production_path():
             elif isinstance(node, ast.Import):
                 imported.update(alias.name for alias in node.names)
         assert not any(name.split(".")[-1] == "oracles" for name in imported), module
+
+
+def test_the_count_route_has_one_entry_point():
+    # the CLI's one remaining unit-overlap name is an alias of the general
+    # distribution, bound for the benchmark's per-layer spans
+    from storedlight import cli, fock_interference
+
+    assert cli.release_distribution_unit_overlap is fock_interference.release_distribution
+    assert not hasattr(fock_interference, "release_distribution_unit_overlap")
+    assert not hasattr(storedlight.errors, "OverlapDomainError")
+    assert "release_distribution_unit_overlap" not in storedlight.__all__

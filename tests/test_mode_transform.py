@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -39,6 +40,22 @@ OVERFLOWING_PHASES = [
      [0.24681604105680122 - 0.8825768384598527j, -0.15285678154134136 + 0.36983073213036416j,
       -0.10109094247792098 - 0.38719579987415176j, -0.12437831791186296 - 0.9079592876016838j]),
 ]
+
+# chi21 values whose difference with chi20 = 0.3 rounds away some of its
+# digits, all of them from 1e17 on
+LARGE_PHASES = [7.0, 1e4, 1e8, 1e12, 1e17, 1e300, -1e300]
+
+
+def phasor_reference(phi0, chi20, chi30, phi1, chi21, chi31):
+    """S11, S12, S21, S22 from 60-digit mpmath as
+    R(phi1) diag(e^{i chi21} e^{-i chi20}, e^{i chi31} e^{-i chi30}) R(phi0)^T,
+    a product of phasors with no difference of angles."""
+    with mpmath.workdps(60):
+        c0, s0, c1, s1 = mpmath.cos(phi0), mpmath.sin(phi0), mpmath.cos(phi1), mpmath.sin(phi1)
+        a = mpmath.expj(chi21) * mpmath.expj(-chi20)
+        b = mpmath.expj(chi31) * mpmath.expj(-chi30)
+        return np.array([complex(x) for x in (c1 * c0 * a + s1 * s0 * b, -c1 * s0 * a + s1 * c0 * b,
+                                              -s1 * c0 * a + c1 * s0 * b, s1 * s0 * a + c1 * c0 * b)])
 
 
 def rotation(phi):
@@ -85,6 +102,19 @@ class TestBuildTransferMatrix:
         transfer = build_transfer_matrix(StageAngles(*point[:3]), StageAngles(*point[3:]))
         np.testing.assert_allclose(_entries(transfer), reference, rtol=0.0, atol=1e-15)
         assert transfer_entries(*point)[:, 0].tobytes() == _entries(transfer).tobytes()
+
+    @pytest.mark.parametrize("chi21", LARGE_PHASES)
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_large_phase_difference_matches_mpmath(self, chi21, swap):
+        # swap: the storage phase is the large one
+        chi20 = 0.3
+        if swap:
+            chi20, chi21 = chi21, chi20
+        point = (0.4, chi20, 0.0, 1.1, chi21, 0.0)
+        transfer = build_transfer_matrix(StageAngles(*point[:3]), StageAngles(*point[3:]))
+        reference = phasor_reference(*point)
+        np.testing.assert_allclose(_entries(transfer), reference, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(transfer_entries(*point)[:, 0], reference, rtol=1e-14, atol=0.0)
 
 
 class TestMagneticPhaseMatrix:
@@ -243,6 +273,9 @@ class TestGridEntries:
     @example(points=[(-0.0, -4.5, 0.0, -5e-324, 0.0, 0.0)])
     # chi21 - chi20 overflows: the grid's phasor product is CPython's
     @example(points=[(0.3, -1e308, 0.0, 0.9, 1e308, 0.0), (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)])
+    # chi21 - chi20 rounds away digits of the smaller phase: both carry e^{i lost}
+    @example(points=[(0.4, 0.3, 0.0, 1.1, chi, 0.0) for chi in LARGE_PHASES]
+             + [(0.4, chi, 0.0, 1.1, 0.3, 0.0) for chi in LARGE_PHASES])
     @settings(max_examples=100, deadline=None)
     def test_stage_entries_match_the_matrix_bit_for_bit(self, points):
         grid = transfer_entries(*np.array(points).T)
