@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalConsistencyError, ParameterDomainError
-from .mode_transform import TransferMatrix, _entry_stack, _finite_fields
+from .mode_transform import TransferMatrix, _entry_stack, _finite_fields, _product
 
 # Slack on the Heisenberg bound var_q * var_p >= 1/4 before declaring a bug.
 HEISENBERG_SLACK = 1e-12
@@ -95,13 +95,6 @@ def _scaled(part, scale):
     if np.isfinite(scale).all():
         return product
     return np.where(part == 0.0, part, product)
-
-
-def _product(a, b):
-    """CPython's complex product on (real, imaginary) pairs of numbers or
-    arrays.  numpy's complex product fuses multiply-adds, so it would round
-    some points differently from a scalar evaluation."""
-    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ParameterDomainError
 from .gaussian_states import _scaled, elementwise
-from .mode_transform import StageAngles, TransferMatrix, _finite_fields, build_transfer_matrix
+from .mode_transform import StageAngles, _finite_fields, _phase_number, _product, _rounding_error
 
 PROBE_QUANTUM = "quantum"
 PROBE_CLASSICAL = "classical"
@@ -66,10 +66,6 @@ class HomodyneConfig:
     def alpha2(self) -> complex:
         return self.alpha2_mod * complex(math.cos(self.gamma), -math.sin(self.gamma))
 
-    @property
-    def transfer(self) -> TransferMatrix:
-        return build_transfer_matrix(self.storage, self.release)
-
 
 def balanced_variance(r1: float, alpha2_mod: float, gamma: float, chi21: float) -> float:
     """general_variance for a classically treated probe at balanced mixing
@@ -83,13 +79,13 @@ def balanced_variance(r1: float, alpha2_mod: float, gamma: float, chi21: float) 
 
 def general_variance(config: HomodyneConfig) -> float:
     """Count-difference variance at any stage angles: count_difference_variance
-    at one point.  Where dchi overflows it is the angle of the product of the
-    four control phasors, which W, 2 pi-periodic in dchi, cannot tell apart."""
+    at one point, dchi the angle of the transfer's own control phasors
+    e^{i(chi31 - chi30)} e^{-i(chi21 - chi20)}, which keep each difference's
+    rounding error and survive its overflow, so a large control phase rounds
+    no other away (W is 2 pi-periodic in dchi); zero phases give dchi = +0."""
     storage, release = config.storage, config.release
-    dchi = (release.chi3 - storage.chi3) - (release.chi2 - storage.chi2)
-    if not math.isfinite(dchi):
-        dchi = cmath.phase(cmath.exp(1j * release.chi3) * cmath.exp(-1j * storage.chi3)
-                           * cmath.exp(-1j * release.chi2) * cmath.exp(1j * storage.chi2))
+    dchi = cmath.phase(_phase_number(release.chi3, storage.chi3)
+                       * _phase_number(release.chi2, storage.chi2).conjugate())
     variance, _ = count_difference_variance(config.r1, config.alpha2_mod, config.gamma, storage.phi,
                                             release.phi, dchi, config.probe_treatment)
     if not math.isfinite(variance[0]):
@@ -133,15 +129,14 @@ def count_difference_variance(r1, alpha2_mod, gamma, phi0, phi1, dchi,
     # difference is exact, lost is 0 and the angle sums give cos and sin of
     # 2 dphi unchanged
     dphi = phi1 - phi0
-    back = dphi - phi1
-    lost = (phi1 - (dphi - back)) - (phi0 + back)
+    lost = _rounding_error(dphi, phi1, phi0)
     two_dphi = 2.0 * dphi
     cos_2d, sin_2d = np.cos(two_dphi), np.sin(two_dphi)
     cos_2l, sin_2l = np.cos(2.0 * lost), np.sin(2.0 * lost)
-    cos_2dphi, sin_2dphi = cos_2d * cos_2l - sin_2d * sin_2l, sin_2d * cos_2l + cos_2d * sin_2l
+    cos_2dphi, sin_2dphi = _product((cos_2d, sin_2d), (cos_2l, sin_2l))
     overflow = np.isinf(two_dphi)
     if overflow.any():
-        cos_d, sin_d = cos_1 * cos_0 + sin_1 * sin_0, sin_1 * cos_0 - cos_1 * sin_0
+        cos_d, sin_d = _product((cos_1, sin_1), (cos_0, -sin_0))
         cos_2dphi = np.where(overflow, (cos_d - sin_d) * (cos_d + sin_d), cos_2dphi)
         sin_2dphi = np.where(overflow, 2.0 * sin_d * cos_d, sin_2dphi)
     sin_2phi1 = 2.0 * sin_1 * cos_1

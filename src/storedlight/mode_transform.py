@@ -181,10 +181,11 @@ def _exp_parts(z: np.ndarray) -> np.ndarray:
     return np.array([w.real, w.imag])
 
 
-def _parts_product(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """CPython's complex product of two stacks of real and imaginary parts."""
+def _product(first, second):
+    """CPython's complex product on (real, imaginary) pairs of numbers or arrays;
+    numpy's fuses multiply-adds, so it can round a point unlike a scalar one."""
     (p, q), (u, v) = first, second
-    return np.array([p * u - q * v, p * v + q * u])
+    return p * u - q * v, p * v + q * u
 
 
 def _phase_parts(late: np.ndarray, early: np.ndarray) -> np.ndarray:
@@ -193,10 +194,10 @@ def _phase_parts(late: np.ndarray, early: np.ndarray) -> np.ndarray:
     lost = _rounding_error(difference, late, early)
     if lost.any():
         carried = np.isfinite(lost) & (lost != 0.0)
-        parts = np.where(carried, _parts_product(parts, _exp_parts(1j * lost)), parts)
+        parts = np.where(carried, _product(parts, _exp_parts(1j * lost)), parts)
     overflow = np.isinf(difference)
     if overflow.any():
-        parts = np.where(overflow, _parts_product(_exp_parts(1j * late), _exp_parts(-1j * early)), parts)
+        parts = np.where(overflow, _product(_exp_parts(1j * late), _exp_parts(-1j * early)), parts)
     return parts
 
 

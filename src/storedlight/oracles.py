@@ -35,7 +35,17 @@ from .errors import CapacityError, InternalConsistencyError, ParameterDomainErro
 from .fock_interference import ReleaseDistribution
 from .gaussian_states import QuadratureStats, SqueezedInput
 from .homodyne import PROBE_CLASSICAL, HomodyneConfig
-from .mode_transform import GramMatrix, TransferMatrix
+from .mode_transform import GramMatrix, StageAngles, TransferMatrix
+
+
+def stage_transfer(storage: StageAngles, release: StageAngles) -> TransferMatrix:
+    """R(phi1) diag(e^{i chi21} e^{-i chi20}, e^{i chi31} e^{-i chi30}) R(phi0)^T with R(phi) the
+    rotation [[cos phi, sin phi], [-sin phi, cos phi]]: one phasor per angle, no angle difference."""
+    (c0, s0), (c1, s1) = ((math.cos(phi), math.sin(phi)) for phi in (storage.phi, release.phi))
+    phases = np.diag([cmath.exp(1j * release.chi2) * cmath.exp(-1j * storage.chi2),
+                      cmath.exp(1j * release.chi3) * cmath.exp(-1j * storage.chi3)])
+    return TransferMatrix(*(np.array([[c1, s1], [-s1, c1]]) @ phases @ np.array([[c0, -s0], [s0, c0]])).ravel())
+
 
 # ----------------------------------------------------------------------
 # Fock oracle
@@ -373,7 +383,7 @@ def _quantum_oracle(config: HomodyneConfig, cutoff: int) -> float:
     coh = _coherent_coefficients(config.alpha2, cutoff + 1)
 
     # K = sum_jk w_jk a_j^dag a_k with w = S^dag diag(1, -1) S
-    s = config.transfer.matrix
+    s = stage_transfer(config.storage, config.release).matrix
     weights = np.outer(s[0].conj(), s[0]) - np.outer(s[1].conj(), s[1])
     sectors = [OccupationBasis(2, total) for total in range(cutoff + 1)]
     parts = [sq[basis.states[:, 0]] * coh[basis.states[:, 1]] for basis in sectors]
@@ -390,7 +400,7 @@ def _classical_oracle(config: HomodyneConfig, cutoff: int) -> float:
     probe noise, so this route is faithful exactly when that part vanishes,
     i.e. for balanced mixing, and is restricted accordingly.
     """
-    s = config.transfer.matrix
+    s = stage_transfer(config.storage, config.release).matrix
     splittings = np.abs(s) ** 2
     if np.max(np.abs(splittings - 0.5)) > BALANCED_TOL:
         raise ParameterDomainError(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_transfer
+from conftest import LARGE_PHASES, large_phase_stages, random_transfer
 from storedlight import (
     InternalConsistencyError,
     ParameterDomainError,
@@ -20,6 +20,7 @@ from storedlight.mode_transform import transfer_entries
 from storedlight.oracles import (
     VACUUM_VARIANCE,
     squeezed_covariance_block,
+    stage_transfer,
     symplectic_eigenvalues,
     transfer_symplectic,
 )
@@ -67,6 +68,19 @@ class TestReleasedQuadratures:
                 direct = released_quadratures(inputs, transfer, channel=channel)
                 oracle = gaussian_oracle(inputs, transfer, channel=channel)
                 assert np.allclose(stats_tuple(direct), stats_tuple(oracle), atol=1e-11)
+
+    @pytest.mark.parametrize("chi21", LARGE_PHASES)
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_matches_the_oracle_on_its_own_transfer_at_large_control_phases(self, chi21, swap):
+        # the oracle's transfer is a product of phasors, the closed form's
+        # carries the rounding error of each phase difference; mean_p of
+        # channel 1 cancels to 7e-4 at chi20 = 1e8, hence the absolute floor
+        storage, release = large_phase_stages(chi21, swap)
+        inputs = SqueezedInput(1.0, 2.0j, 0.4, -0.3)
+        for channel in (1, 2):
+            direct = released_quadratures(inputs, build_transfer_matrix(storage, release), channel=channel)
+            oracle = gaussian_oracle(inputs, stage_transfer(storage, release), channel=channel)
+            assert stats_tuple(oracle) == pytest.approx(stats_tuple(direct), rel=1e-12, abs=1e-15)
 
     def test_coherent_inputs_stay_at_the_vacuum_limit(self, rng):
         # no squeezing: every released quadrature variance is exactly 1/2

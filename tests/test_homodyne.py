@@ -1,8 +1,11 @@
+import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from conftest import LARGE_PHASES, large_phase_stages
 from storedlight import (
     CapacityError,
     HomodyneConfig,
@@ -16,6 +19,7 @@ from storedlight import (
 )
 from storedlight.cli import main
 from storedlight.homodyne import count_difference_variance
+from storedlight.mode_transform import _phase_number
 
 BALANCED_STORAGE = StageAngles(0.0, 0.0, 0.0)
 
@@ -215,7 +219,9 @@ class TestGridKernel:
     def test_rows_are_the_single_point_variances(self, rng, probe):
         r1, amp = rng.uniform(-1.5, 1.5, 300), rng.uniform(0, 5, 300)
         gamma, phi0, chi20, chi30, phi1, chi21, chi31 = rng.uniform(-7, 7, (7, 300))
-        dchi = (chi31 - chi30) - (chi21 - chi20)
+        # dchi as the point route forms it, from the transfer's control phasors
+        dchi = [cmath.phase(_phase_number(c31, c30) * _phase_number(c21, c20).conjugate())
+                for c20, c30, c21, c31 in zip(chi20, chi30, chi21, chi31)]
         variance, passed = count_difference_variance(r1, amp, gamma, phi0, phi1, dchi, probe)
         assert passed.all()
         single = [general_variance(HomodyneConfig(r, a, g, StageAngles(p0, c20, c30), StageAngles(p1, c21, c31),
@@ -311,6 +317,49 @@ class TestHomodyneOracle:
         config = plain_config(0.0, 0.5, 0.0, 0.0, 0.0)
         with pytest.raises(ParameterDomainError):
             homodyne_oracle(config, cutoff=1)
+
+
+def mpmath_variance(r1, amp, gamma, storage, release, probe):
+    """W from 60-digit mpmath at these float inputs: S as the product of
+    phasors R(phi1) diag(e^{i chi21} e^{-i chi20}, e^{i chi31} e^{-i chi30})
+    R(phi0)^T, M = S^dag diag(1, -1) S and the cross term as cosh 2r1 -
+    sinh 2r1 cos(2 gamma + 2 arg M21)."""
+    with mpmath.workdps(60):
+        (c0, s0), (c1, s1) = ((mpmath.cos(phi), mpmath.sin(phi)) for phi in (storage.phi, release.phi))
+        a = mpmath.expj(release.chi2) * mpmath.expj(-storage.chi2)
+        b = mpmath.expj(release.chi3) * mpmath.expj(-storage.chi3)
+        s11, s12 = c1 * c0 * a + s1 * s0 * b, -c1 * s0 * a + s1 * c0 * b
+        s21, s22 = -s1 * c0 * a + c1 * s0 * b, s1 * s0 * a + c1 * c0 * b
+        m11 = abs(s11) ** 2 - abs(s21) ** 2
+        m21 = mpmath.conj(s12) * s11 - mpmath.conj(s22) * s21
+        r, amp = mpmath.mpf(r1), mpmath.mpf(amp)
+        cross = amp ** 2 * (mpmath.cosh(2 * r) - mpmath.sinh(2 * r) * mpmath.cos(2 * (gamma + mpmath.arg(m21))))
+        if probe == PROBE_QUANTUM:
+            cross += mpmath.sinh(r) ** 2
+        return float(m11 ** 2 * (mpmath.sinh(2 * r) ** 2 / 2 + amp ** 2) + abs(m21) ** 2 * cross)
+
+
+class TestLargeControlPhases:
+    """r1 = 0.4, |alpha2| = 2 and gamma = 0.3 at control phases whose
+    release-minus-storage difference rounds away digits of the other."""
+
+    @pytest.mark.parametrize("chi21", LARGE_PHASES)
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("probe", [PROBE_QUANTUM, PROBE_CLASSICAL])
+    def test_general_variance_matches_mpmath(self, chi21, swap, probe):
+        storage, release = large_phase_stages(chi21, swap)
+        config = HomodyneConfig(0.4, 2.0, 0.3, storage, release, probe)
+        reference = mpmath_variance(0.4, 2.0, 0.3, storage, release, probe)
+        assert general_variance(config) == pytest.approx(reference, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("chi21", LARGE_PHASES)
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_oracle_matches_mpmath(self, chi21, swap):
+        # the oracle builds its transfer as a product of phasors
+        storage, release = large_phase_stages(chi21, swap)
+        reference = mpmath_variance(0.4, 2.0, 0.3, storage, release, PROBE_QUANTUM)
+        oracle = homodyne_oracle(HomodyneConfig(0.4, 2.0, 0.3, storage, release), cutoff=60)
+        assert oracle == pytest.approx(reference, rel=1e-12, abs=0.0)
 
 
 class TestConfigValidation:

@@ -35,3 +35,18 @@ def test_the_count_route_has_one_entry_point():
     assert not hasattr(fock_interference, "release_distribution_unit_overlap")
     assert not hasattr(storedlight.errors, "OverlapDomainError")
     assert "release_distribution_unit_overlap" not in storedlight.__all__
+
+
+def test_the_oracles_build_their_own_transfer():
+    # storedlight.oracles names no closed-form transfer builder and reads no
+    # .transfer attribute; HomodyneConfig no longer offers one
+    builders = {"build_transfer_matrix", "transfer_entries", "magnetic_phase_matrix", "magnetic_phase_entries"}
+    source = (Path(storedlight.__file__).parent / "oracles.py").read_text()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            assert node.id not in builders, node.id
+        elif isinstance(node, ast.Attribute):
+            assert node.attr not in builders | {"transfer"}, node.attr
+        elif isinstance(node, ast.alias):
+            assert node.name not in builders, node.name
+    assert not hasattr(storedlight.HomodyneConfig, "transfer")

@@ -1,10 +1,12 @@
+from dataclasses import astuple
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_stage, random_transfer
+from conftest import LARGE_PHASES, large_phase_stages, random_stage, random_transfer
 from storedlight import (
     GramMatrix,
     NormalizationError,
@@ -24,6 +26,7 @@ from storedlight.mode_transform import (
     transfer_entries,
     unitarity_defects,
 )
+from storedlight.oracles import stage_transfer
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -40,10 +43,6 @@ OVERFLOWING_PHASES = [
      [0.24681604105680122 - 0.8825768384598527j, -0.15285678154134136 + 0.36983073213036416j,
       -0.10109094247792098 - 0.38719579987415176j, -0.12437831791186296 - 0.9079592876016838j]),
 ]
-
-# chi21 values whose difference with chi20 = 0.3 rounds away some of its
-# digits, all of them from 1e17 on
-LARGE_PHASES = [7.0, 1e4, 1e8, 1e12, 1e17, 1e300, -1e300]
 
 
 def phasor_reference(phi0, chi20, chi30, phi1, chi21, chi31):
@@ -115,6 +114,30 @@ class TestBuildTransferMatrix:
         reference = phasor_reference(*point)
         np.testing.assert_allclose(_entries(transfer), reference, rtol=1e-14, atol=0.0)
         np.testing.assert_allclose(transfer_entries(*point)[:, 0], reference, rtol=1e-14, atol=0.0)
+
+
+class TestStageTransfer:
+    """The oracles' own transfer matrix, a product of phasors."""
+
+    def test_is_the_closed_form_matrix(self, rng):
+        # R(phi) with the other sign would keep every variance but move the
+        # quadrature means
+        for _ in range(200):
+            storage, release = random_stage(rng, 10.0), random_stage(rng, 10.0)
+            np.testing.assert_allclose(stage_transfer(storage, release).matrix,
+                                       build_transfer_matrix(storage, release).matrix, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("chi21", LARGE_PHASES)
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_large_phase_difference_matches_mpmath(self, chi21, swap):
+        storage, release = large_phase_stages(chi21, swap)
+        np.testing.assert_allclose(_entries(stage_transfer(storage, release)),
+                                   phasor_reference(*astuple(storage), *astuple(release)), rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("point,reference", OVERFLOWING_PHASES)
+    def test_overflowing_phase_difference_matches_mpmath(self, point, reference):
+        transfer = stage_transfer(StageAngles(*point[:3]), StageAngles(*point[3:]))
+        np.testing.assert_allclose(_entries(transfer), reference, rtol=0.0, atol=1e-15)
 
 
 class TestMagneticPhaseMatrix:
