@@ -45,6 +45,9 @@ from .mode_transform import (UNITARITY_TOL, GramMatrix, StageAngles,
 
 SIGNIFICANT_DIGITS = 12
 
+# the CSV rows of counts 0..MAX_TOTAL_PHOTONS, each as "%.12g" prints it
+_COUNT_ROWS = tuple(f"{count},%.{SIGNIFICANT_DIGITS}g\n" for count in range(MAX_TOTAL_PHOTONS + 1))
+
 # the name bench/tracing.py wraps to time single-point counts
 release_distribution_unit_overlap = release_distribution
 
@@ -425,9 +428,7 @@ class Dataset:
         header = ",".join(self.columns) + "\n"
         axes = len(self.axis_counts)
         if axes < 2:
-            # a single axis repeats no value, so prefixes would save nothing
-            template = ",".join([cell] * len(self.columns)) + "\n"
-            return header + template * len(self.values) % tuple(self.values.ravel().tolist())
+            return header + self._rows_text(cell)
         # on a grid each axis value repeats across the later axes: format each
         # once, write the last axis and the value cells as one block of rows,
         # and put each prefix of the leading axes in front of the block's rows
@@ -444,8 +445,21 @@ class Dataset:
         template = "".join([prefix + prefix.join(block) for prefix in prefixes])
         return header + template % tuple(self.values[:, axes:].ravel().tolist())
 
+    def _rows_text(self, cell: str) -> str:
+        # a single axis repeats no value, so prefixes would save nothing
+        template = ",".join([cell] * len(self.columns)) + "\n"
+        return template * len(self.values) % tuple(self.values.ravel().tolist())
+
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.columns.index(name)]
+
+
+class _CountDistribution(Dataset):
+    """run_single's full count distribution: read-only values whose counts
+    are 0..N, so its rows fill in only the probabilities of _COUNT_ROWS."""
+
+    def _rows_text(self, cell: str) -> str:
+        return "".join(_COUNT_ROWS[:len(self.values)]) % tuple(self.values[:, 1].tolist())
 
 
 def run_experiment(config: ExperimentConfig) -> Dataset:
@@ -499,7 +513,8 @@ def run_single(config: ExperimentConfig) -> Dataset:
         values = np.empty((probabilities.size, 2))
         values[:, 0] = np.arange(probabilities.size)
         values[:, 1] = probabilities
-        return Dataset(("i", "probability"), values)
+        values.flags.writeable = False
+        return _CountDistribution(("i", "probability"), values)
     kind = _KINDS[config.kind]
     return Dataset(columns=kind.columns, values=np.array([kind.point(config.params)], dtype=float))
 

@@ -43,6 +43,10 @@ from .mode_transform import OVERLAP_ROUNDING_TOL, UNIT_OVERLAP_TOL, GramMatrix, 
 # tested up to it.
 MAX_TOTAL_PHOTONS = 64
 
+# -i h/2 at index MAX_TOTAL_PHOTONS + h: the exponents of the d-matrix phase table
+_HALF_STEP_EXPONENTS = -0.5j * np.arange(-MAX_TOTAL_PHOTONS, MAX_TOTAL_PHOTONS + 1)
+_HALF_STEP_EXPONENTS.flags.writeable = False
+
 # Raw probabilities outside [0, 1] by more than this indicate a bug rather
 # than accumulated rounding; smaller excursions are clamped.
 PROBABILITY_GUARD = 1e-9
@@ -216,7 +220,8 @@ def _unit_overlap_stack(n: int, m: int, entries: np.ndarray, lowest: int = 0) ->
     single layer needs only the h of its total's parity."""
     beta = 2.0 * np.arctan2(np.abs(entries[1]), np.abs(entries[0]))
     size, step = n + m, 1 if lowest < m else 2
-    phases = np.exp(-1j * np.multiply.outer(beta, np.arange(-size, size + 1, step) / 2))
+    exponents = _HALF_STEP_EXPONENTS[MAX_TOTAL_PHOTONS - size:MAX_TOTAL_PHOTONS + size + 1:step]
+    phases = np.exp(np.multiply.outer(beta, exponents))
     columns = np.zeros((m + 1 - lowest, entries.shape[1], size + 1), dtype=complex)
     for shared in range(lowest, m + 1):
         total = n + shared

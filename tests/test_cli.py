@@ -838,6 +838,19 @@ class TestDataset:
             values = np.column_stack((np.arange(total + 1), probabilities))
             assert capsys.readouterr().out == per_cell_csv(("i", "probability"), values), total
 
+    def test_hand_built_count_column_prints_its_own_values(self):
+        values = np.array([(0, 0.25), (2, 0.5), (5, 1 / 3)])
+        text = Dataset(("i", "probability"), values).to_csv_text()
+        assert text == per_cell_csv(("i", "probability"), values) == "i,probability\n0,0.25\n2,0.5\n5,0.333333333333\n"
+
+    def test_full_distribution_values_are_read_only(self):
+        # its CSV takes the counts 0..N as given, so they cannot be changed
+        dataset = run_single(ExperimentConfig.from_mapping(
+            {"kind": "fock-distribution", "params": {"n": 2, "m": 1, "delta": 0.4}}))
+        assert dataset.values[:, 0].tolist() == [0, 1, 2, 3] and not dataset.values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            dataset.values[1, 0] = 7.0
+
     def test_csv_cells(self):
         dataset = Dataset(columns=("i", "x"), values=np.array([
             (0, -0.0), (64, 5e-324), (3, 1.7976931348623157e308), (1, 1 / 3), (2, -2.5e-300),

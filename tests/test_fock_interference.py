@@ -24,7 +24,7 @@ from storedlight import (
     release_variance,
 )
 from storedlight import fock_interference
-from storedlight.fock_interference import GRID_CHUNK, release_probabilities
+from storedlight.fock_interference import GRID_CHUNK, MAX_TOTAL_PHOTONS, release_probabilities
 from storedlight.mode_transform import magnetic_phase_entries, transfer_entries
 
 
@@ -381,6 +381,21 @@ def exact_mixture(n, m, s_sq, a, b, c):
     return probs
 
 
+def per_call_exponent_stack(n, m, entries, lowest=0):
+    """_unit_overlap_stack with its phase exponents built on every call from
+    a half-step arange, the construction its exponent table replaced."""
+    beta = 2.0 * np.arctan2(np.abs(entries[1]), np.abs(entries[0]))
+    size, step = n + m, 1 if lowest < m else 2
+    phases = np.exp(-1j * np.multiply.outer(beta, np.arange(-size, size + 1, step) / 2))
+    columns = np.zeros((m + 1 - lowest, entries.shape[1], size + 1), dtype=complex)
+    for shared in range(lowest, m + 1):
+        total = n + shared
+        vectors = fock_interference._jy_eigenvectors(total)
+        scaled = phases[:, (size - total) // step:(size + total) // step + 1:2 // step] * vectors[n].conj()
+        np.add.reduce(vectors * scaled[:, None, :], axis=-1, out=columns[shared - lowest, :, :total + 1])
+    return columns.real ** 2 + columns.imag ** 2
+
+
 def photon_pairs_up_to(cap):
     return st.integers(0, cap).flatmap(lambda total: st.tuples(st.integers(0, total), st.just(total)))
 
@@ -530,6 +545,23 @@ class TestArrayKernel:
             unit = fock_interference._unit_overlap_stack(n, shared, entries, shared)[0]
             assert np.ascontiguousarray(layer[:, :n + shared + 1]).tobytes() == unit.tobytes()
             assert not layer[:, n + shared + 1:].any()
+
+    @pytest.mark.parametrize("size", range(MAX_TOTAL_PHOTONS + 1))
+    def test_stack_is_the_per_call_exponent_stack(self, size, rng):
+        # bit for bit: exponents one ulp off fail here at every size above 0,
+        # where the CSV digests see them only at the totals they pin.  Every
+        # split runs whole and top layer alone on one random transfer, and top
+        # layer alone on 65 random ones plus the exact identity and swap;
+        # every split of a size slices the same exponents for its whole stack,
+        # so the 65 run one whole stack per size, at m = 1
+        exact = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 0.0]])
+        one = transfer_entries(*rng.uniform(-7, 7, size=(6, 1)))
+        many = np.hstack([transfer_entries(*rng.uniform(-7, 7, size=(6, 65))), exact])
+        cases = [(n, size - n, lowest, entries) for n in range(size + 1)
+                 for lowest, entries in ((0, one), (size - n, one), (size - n, many))]
+        for n, m, lowest, entries in cases + [(size - 1, 1, 0, many)] * (size > 0):
+            expected = per_call_exponent_stack(n, m, entries, lowest)
+            assert fock_interference._unit_overlap_stack(n, m, entries, lowest).tobytes() == expected.tobytes()
 
     def test_failed_guard_names_the_route(self, monkeypatch):
         unit, partial = FockInput(32, 32), FockInput(32, 32, GramMatrix(0.9))

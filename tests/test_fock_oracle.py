@@ -5,16 +5,22 @@ import pytest
 
 from conftest import random_transfer
 from storedlight import (
+    PROBE_CLASSICAL,
     CapacityError,
     FockInput,
     GramMatrix,
+    HomodyneConfig,
     InternalConsistencyError,
     ModeBasis,
     OccupationBasis,
     ParameterDomainError,
+    SqueezedInput,
+    StageAngles,
     TruncatedState,
     build_fock_input,
     fano_factor,
+    gaussian_oracle,
+    homodyne_oracle,
     magnetic_phase_matrix,
     mean_release_count,
     oracle_distribution,
@@ -116,6 +122,33 @@ class TestTruncatedState:
         basis = OccupationBasis(2, 2)
         with pytest.raises(InternalConsistencyError):
             TruncatedState(np.array([0.5, 0.0, 0.0]), basis)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("build,message", [
+        (lambda: OccupationBasis(0, 1), "need num_modes >= 1 and total >= 0"),
+        (lambda: ModeBasis(0.5, cutoff=2).storage_packet_op(3, 1),
+         "channel and Schmidt index must each be 1 or 2, got 3, 1"),
+        (lambda: ModeBasis(0.5, cutoff=2).storage_packet_op(1, 3), "packet must be 1 or 2, got 3"),
+        (lambda: TruncatedState(np.array([1.0, 0.0]), OccupationBasis(2, 2)),
+         "amplitude vector has shape (2,), expected (3,)"),
+        (lambda: build_fock_input(-1, 0, ModeBasis(1.0, cutoff=2)), "photon numbers must be >= 0, got n=-1, m=0"),
+        (lambda: gaussian_oracle(SqueezedInput(1.0, 0.5j, 0.3, -0.2), magnetic_phase_matrix(0.7), channel=3),
+         "channel must be 1 or 2, got 3"),
+    ], ids=["modes", "mode-channel", "packet", "amplitudes", "photon-numbers", "gaussian-channel"])
+    def test_domain_errors(self, build, message):
+        with pytest.raises(ParameterDomainError) as raised:
+            build()
+        assert str(raised.value) == message
+
+    def test_classical_homodyne_oracle_refuses_a_lossy_cutoff(self):
+        # balanced mixing, so only the squeezed vacuum's tail past the cutoff stops it
+        config = HomodyneConfig(2.0, 1.0, 0.0, StageAngles(0.0, 0.0, 0.0), StageAngles(math.pi / 4, 0.0, 0.0),
+                                probe_treatment=PROBE_CLASSICAL)
+        with pytest.raises(CapacityError) as raised:
+            homodyne_oracle(config, cutoff=4)
+        assert str(raised.value) == "squeezed vacuum loses probability 5.246e-01 at cutoff 4"
+        assert raised.value.required is None
 
 
 class TestReleasedNumberOperator:
