@@ -22,10 +22,8 @@ configuration problems; running out of memory is a runtime failure.
 from __future__ import annotations
 
 import argparse
-import ast
 import json
 import math
-import operator
 import re
 import sys
 from dataclasses import astuple, dataclass, field
@@ -56,19 +54,19 @@ release_distribution_unit_overlap = release_distribution
 # numeric expression grammar
 
 _NUMERAL = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
-# bare integers, which Python refuses with leading zeros or beyond 4,300 digits
-_INTEGER = re.compile(r"(?<![\w.])(?<![eE][+-])\d+(?![\w.])")
-_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv}
-_SIGN = {ast.UAdd: 1.0, ast.USub: -1.0}
+# one token after an optional space: a numeral, pi, or any other single character
+_TOKEN = re.compile(rf" ?({_NUMERAL.pattern}|pi|.)", re.ASCII)
 
 
 def parse_number_expression(text: str) -> float:
     """Evaluate an expression built from numbers, pi, + - * / and parentheses.
 
     Any whitespace may separate tokens and digits may be any Unicode decimal
-    digits.  Python parses the expression and only the nodes of this grammar
-    are evaluated, so Python-only forms such as 0x10, 1_0, 1j or 2**3 are
-    rejected.
+    digits.  Signs bind to the number, pi or parenthesis they precede, * and /
+    bind tighter than + and -, and each evaluates left to right; a numeral is
+    decimal digits with an optional point and exponent, so Python-only forms
+    such as 0x10, 1_0, 1j or 2**3 are rejected.  Parentheses nest as deep as
+    the recursion limit allows.
     """
     if not isinstance(text, str):
         raise ExperimentConfigError(f"expected an expression string, got {text!r}")
@@ -77,35 +75,51 @@ def parse_number_expression(text: str) -> float:
     if _NUMERAL.fullmatch(source):
         return float(source)
     try:
-        # '#' would open a Python comment; no other character of the grammar is outside ASCII
-        if "#" in source or not source.isascii():
-            raise ExperimentConfigError("unexpected character")
-        try:
-            tree = compile(source, "<expression>", "eval", ast.PyCF_ONLY_AST)
-        except SyntaxError:
-            source = _INTEGER.sub(lambda integer: integer[0] + ".", source)
-            tree = compile(source, "<expression>", "eval", ast.PyCF_ONLY_AST)
-        return _evaluate(tree.body, source)
-    except SyntaxError as exc:
-        raise ExperimentConfigError(f"bad expression {text!r}: {exc.msg}") from None
+        # "" marks the end
+        tokens = _TOKEN.findall(source) + [""]
+        value, end = _sum(tokens, 0)
+        if tokens[end]:
+            raise _unexpected(tokens[end])
+        return value
     except (ExperimentConfigError, RecursionError) as exc:
         raise ExperimentConfigError(f"bad expression {text!r}: {exc}") from None
 
 
-def _evaluate(node, source: str) -> float:
-    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
-        left, right = _evaluate(node.left, source), _evaluate(node.right, source)
-        if isinstance(node.op, ast.Div) and right == 0.0:
+def _sum(tokens: list, at: int) -> tuple:
+    """The value of the sum that starts at tokens[at], and the index of the
+    token after it.  Only a parenthesis recurses."""
+    total = term = None
+    add = multiply = ""
+    while True:
+        sign = 1.0
+        while tokens[at] in ("+", "-"):
+            sign, at = -sign if tokens[at] == "-" else sign, at + 1
+        token = tokens[at]
+        if token == "(":
+            value, at = _sum(tokens, at + 1)
+            if tokens[at] != ")":
+                raise _unexpected(tokens[at])
+        elif token == "pi":
+            value = math.pi
+        elif _NUMERAL.fullmatch(token):
+            value = float(token)
+        else:
+            raise _unexpected(token)
+        value, at = sign * value, at + 1
+        if multiply == "/" and value == 0.0:
             raise ExperimentConfigError("division by zero")
-        return _BINARY[type(node.op)](left, right)
-    if isinstance(node, ast.UnaryOp) and type(node.op) in _SIGN:
-        return _SIGN[type(node.op)] * _evaluate(node.operand, source)
-    literal = source[node.col_offset:node.end_col_offset]
-    if isinstance(node, ast.Name) and literal == "pi":
-        return math.pi
-    if isinstance(node, ast.Constant) and _NUMERAL.fullmatch(literal):
-        return float(literal)
-    raise ExperimentConfigError(f"unexpected {literal!r}")
+        term = term * value if multiply == "*" else term / value if multiply else value
+        if tokens[at] in ("*", "/"):
+            multiply, at = tokens[at], at + 1
+            continue
+        total = total + term if add == "+" else total - term if add else term
+        if tokens[at] not in ("+", "-"):
+            return total, at
+        add, multiply, at = tokens[at], "", at + 1
+
+
+def _unexpected(token: str) -> ExperimentConfigError:
+    return ExperimentConfigError(f"unexpected {token!r}" if token else "unexpected end")
 
 
 # ----------------------------------------------------------------------
@@ -208,12 +222,10 @@ class ExperimentConfig:
             except (ValueError, IndexError):
                 raise ExperimentConfigError(f"axis {name!r} count {count} is more than numpy can size") from None
         counts = tuple(map(len, sweep.values()))
-        try:
-            # the bytes of the driver's float array of axis and value columns over the grid
-            np.intp(math.prod(counts) * (len(counts) + len(_KINDS[kind].columns)) * np.dtype(float).itemsize)
-        except OverflowError:
+        # the bytes of the driver's array of 8-byte float axis and value columns over the grid
+        if math.prod(counts) * (len(counts) + len(_KINDS[kind].columns)) * 8 > sys.maxsize:
             raise ExperimentConfigError(
-                f"sweep grid of {' x '.join(map(str, counts))} points is more than numpy can size") from None
+                f"sweep grid of {' x '.join(map(str, counts))} points is more than numpy can size")
         return cls(kind=kind, params=params, sweep=sweep, out=out, provided=provided)
 
 
@@ -304,7 +316,7 @@ def _count_kernel(grid: dict):
         return [np.nan], np.False_
     # the transfers and the overlap keep their own grid axes
     probs, passed = release_probabilities(n, m, _grid_transfer(grid), abs(grid["s"]))
-    return [np.clip(probs[..., target], 0.0, 1.0)], passed
+    return [probs[..., target].clip(0.0, 1.0)], passed
 
 
 def _count_point(params: dict) -> tuple:

@@ -95,12 +95,14 @@ def _guard_checks(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Whether each probability vector along the last axis of raw stays in
     [0, 1] within PROBABILITY_GUARD, and whether it sums to 1 within SUM_TOL.
     Written as conditions to pass, so a NaN fails both."""
-    in_range = (raw.min(axis=-1) >= -PROBABILITY_GUARD) & (raw.max(axis=-1) <= 1.0 + PROBABILITY_GUARD)
-    return in_range, np.abs(raw.sum(axis=-1) - 1.0) <= SUM_TOL
+    # the ufunc reductions behind ndarray.min, max and sum, without their Python layer
+    in_range = ((np.minimum.reduce(raw, axis=-1) >= -PROBABILITY_GUARD)
+                & (np.maximum.reduce(raw, axis=-1) <= 1.0 + PROBABILITY_GUARD))
+    return in_range, np.abs(np.add.reduce(raw, axis=-1) - 1.0) <= SUM_TOL
 
 
 def _frozen_clip(raw: np.ndarray) -> np.ndarray:
-    clipped = np.clip(raw, 0.0, 1.0)
+    clipped = raw.clip(0.0, 1.0)
     clipped.flags.writeable = False
     return clipped
 

@@ -134,9 +134,23 @@ def unitarity_defects(entries) -> np.ndarray:
     """TransferMatrix.unitarity_defect at every point of a (4, ...) array of
     S11, S12, S21, S22, NaN or infinite where an entry is not finite; any
     other leading axis raises ParameterDomainError.  numpy's complex products
-    fuse multiply-adds, so the last bits may differ from the method."""
+    fuse multiply-adds, so the last bits may differ from the method.  The six
+    deviations are _unitarity_deviations' own, the squared norms formed in one
+    pass."""
     entries = _entry_stack(entries, 4, "S11, S12, S21, S22")
-    return np.maximum.reduce([abs(x) for x in _unitarity_deviations(*entries)])
+    a, b, c, d = entries
+    norms = entries.real * entries.real + entries.imag * entries.imag
+    # in _unitarity_deviations' order: na + nc, nb + nd, na + nb and nc + nd
+    # less one, then the two off-diagonal entries; abs() rather than
+    # np.abs(out=), because a (4,) stack's products are numpy scalars, whose
+    # abs rounds unlike the ufunc loop
+    deviations = np.empty((6, *entries.shape[1:]))
+    np.add(norms[:2], norms[2:], out=deviations[:2])
+    np.add(norms[::2], norms[1::2], out=deviations[2:4])
+    np.abs(np.subtract(deviations[:4], 1.0, out=deviations[:4]), out=deviations[:4])
+    deviations[4] = abs(a.conjugate() * b + c.conjugate() * d)
+    deviations[5] = abs(a * c.conjugate() + b * d.conjugate())
+    return np.maximum.reduce(deviations)
 
 
 # The entry formulas work on Python numbers with math and cmath, and on numpy
@@ -146,6 +160,8 @@ def unitarity_defects(entries) -> np.ndarray:
 # complex product would promote the real factor to x + 0j and fuse
 # multiply-adds, which can flip the sign of an underflowed part.  The matrix
 # constructors stay scalar: numpy's per-call cost would dominate one point.
+# For the same reason transfer_entries takes the number side for an angle
+# that holds one finite value (math.cos raises at infinity).
 # e^{i(late - early)} takes the rounded difference, times e^{i lost} where
 # the difference rounded away digits: late - early = difference + lost
 # exactly (Knuth's two-sum), so a small phase keeps its digits however large
@@ -201,6 +217,24 @@ def _phase_parts(late: np.ndarray, early: np.ndarray) -> np.ndarray:
     return parts
 
 
+def _one_value(angle: np.ndarray, unit: tuple):
+    """angle as a float if it holds one finite value, else reshaped to the
+    grid's number of dimensions, len(unit)."""
+    if angle.size == 1:
+        value = angle.item()
+        if math.isfinite(value):
+            return value
+    return angle.reshape(unit[angle.ndim:] + angle.shape)
+
+
+def _cos(angle):
+    return math.cos(angle) if type(angle) is float else np.cos(angle)
+
+
+def _sin(angle):
+    return math.sin(angle) if type(angle) is float else np.sin(angle)
+
+
 def _stage_entries(phi0, chi20, chi30, phi1, chi21, chi31, cos, sin, phase, times):
     c0, s0, c1, s1 = cos(phi0), sin(phi0), cos(phi1), sin(phi1)
     a, b = phase(chi21, chi20), phase(chi31, chi30)
@@ -233,15 +267,25 @@ def transfer_entries(phi0, chi20, chi30, phi1, chi21, chi31) -> np.ndarray:
     gives at each point of a grid of storage angles (phi0, chi20, chi30) and
     release angles (phi1, chi21, chi31), each a number or an array
     broadcastable to the grid; grid is their broadcast shape, (1,) when all
-    are numbers.  cos, sin and exp run once per value an angle holds.
+    are numbers.  cos, sin and exp run once per value an angle holds, through
+    math and cmath for an angle that holds one finite value.
     Unvalidated: a non-finite angle gives NaN entries."""
     angles = [np.asarray(x, dtype=float) for x in (phi0, chi20, chi30, phi1, chi21, chi31)]
-    # every angle takes the grid's number of dimensions, so that the leading
-    # axis of stacked real and imaginary parts never meets a grid axis
-    ndim = max(1, *(angle.ndim for angle in angles))
-    angles = [angle.reshape((1,) * (ndim - angle.ndim) + angle.shape) for angle in angles]
+    # every swept angle takes the grid's number of dimensions, so that the
+    # leading axis of stacked real and imaginary parts never meets a grid axis
+    unit = (1,) * max(1, *(angle.ndim for angle in angles))
+    angles = [_one_value(angle, unit) for angle in angles]
+    if all(type(angle) is float for angle in angles):
+        return np.array(_stage_entries(*angles, math.cos, math.sin, _phase_number, _number_times)).reshape(4, *unit)
+
+    def phase(late, early):
+        if type(late) is float and type(early) is float:
+            value = _phase_number(late, early)
+            return np.array([value.real, value.imag]).reshape(2, *unit)
+        return _phase_parts(late, early)
+
     with np.errstate(over="ignore", invalid="ignore"):
-        parts = np.array(_stage_entries(*angles, np.cos, np.sin, _phase_parts, np.multiply))
+        parts = np.array(_stage_entries(*angles, _cos, _sin, phase, np.multiply))
     entries = np.empty((4, *parts.shape[2:]), dtype=complex)
     entries.real, entries.imag = parts[:, 0], parts[:, 1]
     return entries

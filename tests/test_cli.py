@@ -1,4 +1,5 @@
 import copy
+import functools
 import hashlib
 import inspect
 import itertools
@@ -198,6 +199,28 @@ class TestExpressionParser:
                 parse_number_expression(text)
             messages.append(str(raised.value))
         assert messages[0] == messages[1]
+
+    def test_python_never_compiles_the_expression(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("compile() ran")
+
+        # undone before pytest, which compiles too, reports the outcome
+        with monkeypatch.context() as patch:
+            patch.setattr("builtins.compile", refuse)
+            values = [parse_number_expression("3*pi/8"), parse_number_expression("(1+2)*pi")]
+        assert list(map(float_bits, values)) == [float_bits(3 * math.pi / 8), float_bits(3 * math.pi)]
+
+    def test_nesting_past_python_parser_limit(self):
+        # Python's parser stops at 200 nested parentheses; only recursion bounds them here
+        assert float_bits(parse_number_expression("(" * 250 + "-pi/8" + ")" * 250)) == float_bits(-math.pi / 8)
+        with pytest.raises(ExperimentConfigError, match="maximum recursion depth"):
+            parse_number_expression("(" * 100_000 + "1" + ")" * 100_000)
+
+    def test_long_chains_evaluate_left_to_right(self):
+        assert parse_number_expression("+".join(["1"] * 3001)) == 3001.0
+        left_to_right = functools.reduce(operator.add, [0.1] * 3001)
+        assert float_bits(parse_number_expression("0.1+" * 3000 + "0.1")) == float_bits(left_to_right)
+        assert parse_number_expression("-" * 3001 + "2") == -2.0
 
     @pytest.mark.parametrize("text", [
         "0x10", "1_0", "1j", "2**3", "True", "nan", "pi()", "1 # comment", "\uff50\uff49", "pi.real",

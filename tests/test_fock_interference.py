@@ -24,7 +24,8 @@ from storedlight import (
     release_variance,
 )
 from storedlight import fock_interference
-from storedlight.fock_interference import GRID_CHUNK, MAX_TOTAL_PHOTONS, release_probabilities
+from storedlight.fock_interference import (GRID_CHUNK, MAX_TOTAL_PHOTONS, PROBABILITY_GUARD, SUM_TOL,
+                                           release_probabilities)
 from storedlight.mode_transform import magnetic_phase_entries, transfer_entries
 
 
@@ -72,6 +73,46 @@ class TestReleaseDistribution:
             ReleaseDistribution([float("nan"), 0.5])
         _, ok = release_probabilities(0, 1, [[np.nan], [np.nan], [np.nan], [np.nan]])
         assert not ok.any()
+
+    # 1 +- SUM_TOL round to 1 +- 1.0000000083e-10, just outside the tolerance
+    SUM_EDGES = [(np.nextafter(1.0 + SUM_TOL, 0.0), True), (1.0 + SUM_TOL, False),
+                 (np.nextafter(1.0 + SUM_TOL, 2.0), False), (np.nextafter(1.0 - SUM_TOL, 2.0), True),
+                 (1.0 - SUM_TOL, False)]
+
+    @staticmethod
+    def guard_rows():
+        """Rows of three probabilities at the edges of the guard checks, each
+        with the verdict the checks give it."""
+        rows = [([0.25, 0.5, total - 0.75], passes) for total, passes in TestReleaseDistribution.SUM_EDGES]
+        low, high = -PROBABILITY_GUARD, 1.0 + PROBABILITY_GUARD
+        rows += [([low, 0.5, 0.5 + PROBABILITY_GUARD], True),
+                 ([np.nextafter(low, -1.0), 0.5, 0.5 + PROBABILITY_GUARD], False),
+                 ([high, -PROBABILITY_GUARD, 0.0], True),
+                 ([np.nextafter(high, 2.0), -PROBABILITY_GUARD, 0.0], False)]
+        rows += [([bad, 0.5, 0.5], False) for bad in (np.nan, np.inf, -np.inf)]
+        rows += [([0.5, 0.5, bad], False) for bad in (np.nan, np.inf, -np.inf)]
+        return rows
+
+    def test_guard_edges(self):
+        rows = self.guard_rows()
+        # the sums are the edges themselves
+        for (row, _), (total, _) in zip(rows, self.SUM_EDGES):
+            assert np.add.reduce(row) == total
+        for row, passes in rows:
+            if passes:
+                assert ReleaseDistribution(row).probabilities.tolist() == np.clip(row, 0.0, 1.0).tolist()
+            else:
+                with pytest.raises(InternalConsistencyError):
+                    ReleaseDistribution(row)
+
+    def test_kernel_mask_keeps_the_guard_edges(self, monkeypatch):
+        rows = self.guard_rows()
+        block = np.array([row for row, _ in rows])
+        # release_probabilities at unit overlap takes the stack's last layer as its rows
+        monkeypatch.setattr(fock_interference, "_unit_overlap_stack", lambda n, m, entries, lowest=0: block[None])
+        raw, passed = release_probabilities(1, 1, np.ones((4, len(rows)), dtype=complex))
+        assert raw.tobytes() == block.tobytes()
+        assert passed.tolist() == [passes for _, passes in rows]
 
     def test_moments(self):
         dist = ReleaseDistribution([0.25, 0.5, 0.25])

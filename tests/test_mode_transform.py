@@ -22,6 +22,7 @@ from storedlight.fock_interference import release_probabilities
 from storedlight.gaussian_states import quadrature_moments
 from storedlight.mode_transform import (
     UNITARITY_TOL,
+    _unitarity_deviations,
     magnetic_phase_entries,
     transfer_entries,
     unitarity_defects,
@@ -43,6 +44,11 @@ OVERFLOWING_PHASES = [
      [0.24681604105680122 - 0.8825768384598527j, -0.15285678154134136 + 0.36983073213036416j,
       -0.10109094247792098 - 0.38719579987415176j, -0.12437831791186296 - 0.9079592876016838j]),
 ]
+
+
+# signed zeros, the least denormal, angles whose cos and sin lose every
+# digit, and the non-finite values that leave the entries NaN
+SPECIAL_ANGLES = [0.0, -0.0, 5e-324, -5e-324, 1e17, 1e300, -1e300, np.inf, -np.inf, np.nan]
 
 
 def phasor_reference(phi0, chi20, chi30, phi1, chi21, chi31):
@@ -331,6 +337,41 @@ class TestGridEntries:
         magnetic = magnetic_phase_entries(delta)
         assert magnetic.shape == (4, 1, 1, 2)
         assert magnetic.reshape(4, -1).tobytes() == magnetic_phase_entries(delta.ravel()).tobytes()
+
+    @pytest.mark.parametrize("position", range(6))
+    @pytest.mark.parametrize("value", SPECIAL_ANGLES)
+    def test_one_value_angles_are_the_swept_route_bit_for_bit(self, position, value, rng):
+        # the other angles are numbers: finite ones take math and cmath, others numpy
+        points = rng.uniform(-7, 7, (6, 5))
+        points[rng.random((6, 5)) < 0.2] = rng.choice(SPECIAL_ANGLES)
+        points[position, 2] = value
+        point = [float(x) for x in points[:, 2]]
+        # every angle swept, so every entry comes from numpy's cos, sin and exp
+        expected = transfer_entries(*points)[:, 2:3].tobytes()
+        for form in (value, np.array(value), np.array([value])):
+            single = transfer_entries(*point[:position], form, *point[position + 1:])
+            assert single.shape == (4, 1)
+            assert single.tobytes() == expected
+        swept = transfer_entries(*point[:position], points[position], *point[position + 1:])
+        assert swept.shape == (4, 5)
+        assert swept[:, 2:3].tobytes() == expected
+        assert transfer_entries(*point[:position], np.array([[value]]), *point[position + 1:]).shape == (4, 1, 1)
+
+    def test_defects_are_the_deviations_bit_for_bit(self, rng):
+        # (4,) stacks too, whose complex products and abs numpy rounds as scalars
+        for shape in [()] * 100 + [(1,), (7,), (3, 5)]:
+            entries = rng.normal(size=(4, *shape)) + 1j * rng.normal(size=(4, *shape))
+            # squared norm 2 at every point, so the products' last bits decide the defect
+            balanced = entries / np.sqrt((abs(entries) ** 2).sum(axis=0) / 2)
+            unitary = transfer_entries(*rng.uniform(-7, 7, (6, *shape))).reshape(4, *shape)
+            special = rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1e300], (2, 4, *shape))
+            flagged = rng.random((2, 4, *shape)) < 0.15
+            odd = unitary.copy()
+            odd.real[flagged[0]], odd.imag[flagged[1]] = special[0][flagged[0]], special[1][flagged[1]]
+            for stack in (entries, balanced, unitary, odd):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    expected = np.maximum.reduce([abs(x) for x in _unitarity_deviations(*stack)])
+                    assert unitarity_defects(stack).tobytes() == expected.tobytes()
 
     def test_defects_broadcast_to_the_grid(self, rng):
         # an axis the transfer does not depend on: entries (4, a, 1)
