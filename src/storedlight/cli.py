@@ -186,9 +186,7 @@ class ExperimentConfig:
                                 _coerce("int", f"{name}.count", axis["count"]))
             except KeyError as missing:
                 raise ExperimentConfigError(f"axis {name!r} is missing {missing}") from None
-        out = mapping.get("out")
-        if out is not None and not (isinstance(out, str) and "\0" not in out):
-            raise ExperimentConfigError("out must be a path string")
+        out = _out_path(mapping.get("out"))
         provided = set(params) | set(bounds)
         missing = [name for name, (_, default) in schema.items()
                    if default is _REQUIRED and name not in provided]
@@ -227,6 +225,14 @@ class ExperimentConfig:
             raise ExperimentConfigError(
                 f"sweep grid of {' x '.join(map(str, counts))} points is more than numpy can size")
         return cls(kind=kind, params=params, sweep=sweep, out=out, provided=provided)
+
+
+def _out_path(out):
+    """out, None or a path string; ExperimentConfigError for anything else,
+    the empty string and a string holding NUL included."""
+    if out is not None and not (isinstance(out, str) and out and "\0" not in out):
+        raise ExperimentConfigError("out must be a path string")
+    return out
 
 
 def _coerce(type_name: str, key: str, value):
@@ -299,7 +305,7 @@ def _transfer_from_params(params: dict):
 def _grid_transfer(grid: dict) -> np.ndarray:
     """(4, *grid) transfer entries, grid axes possibly 1, NaN where they fail UNITARITY_TOL."""
     entries = (magnetic_phase_entries(grid["delta"]) if grid.get("delta") is not None
-               else transfer_entries(*(grid.get(key, 0.0) for key in _ANGLE_KEYS)))
+               else transfer_entries(*(grid[key] for key in _ANGLE_KEYS)))
     entries[:, ~(unitarity_defects(entries) <= UNITARITY_TOL)] = np.nan
     return entries
 
@@ -377,7 +383,8 @@ class _Kind(NamedTuple):
     point: Callable
 
 
-_STAGE_ANGLES = {key: ("float", 0.0) for key in _ANGLE_KEYS}
+# the magnetic phase or the six stage angles that build a transfer
+_TRANSFER = {"delta": ("float", None), **{key: ("float", 0.0) for key in _ANGLE_KEYS}}
 _SQUEEZED_INPUTS = {
     "r1": ("float", 0.0),
     "r2": ("float", 0.0),
@@ -385,8 +392,7 @@ _SQUEEZED_INPUTS = {
     "alpha1_im": ("float", 0.0),
     "alpha2_re": ("float", 0.0),
     "alpha2_im": ("float", 0.0),
-    "delta": ("float", None),
-    **_STAGE_ANGLES,
+    **_TRANSFER,
 }
 
 _KINDS = {
@@ -395,8 +401,7 @@ _KINDS = {
         "m": ("int", _REQUIRED),
         "i": ("int", None),
         "s": ("float", 1.0),
-        "delta": ("float", None),
-        **_STAGE_ANGLES,
+        **_TRANSFER,
     }, ("probability",), _count_kernel, _count_point),
     "quadratures": _Kind(_SQUEEZED_INPUTS, ("mean_q", "mean_p", "var_q", "var_p"),
                          _quadrature_kernel, lambda params: astuple(_released(params))),
@@ -618,13 +623,14 @@ def _read_config(path: str):
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        out = _out_path(args.out)
         if args.command == "figure":
-            dataset, out = run_figure(args.id), args.out
+            dataset = run_figure(args.id)
         else:
             sweep = args.command == "sweep"
             mapping = _read_config(args.config) if sweep else {"kind": args.kind}
             config = ExperimentConfig.from_mapping(apply_overrides(mapping, args.set))
-            out = args.out or config.out
+            out = config.out if out is None else out
             if sweep and out is None:
                 raise ExperimentConfigError("no output path: give out in the config or --out")
             dataset = (run_experiment if sweep else run_single)(config)

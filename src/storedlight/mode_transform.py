@@ -160,8 +160,8 @@ def unitarity_defects(entries) -> np.ndarray:
 # complex product would promote the real factor to x + 0j and fuse
 # multiply-adds, which can flip the sign of an underflowed part.  The matrix
 # constructors stay scalar: numpy's per-call cost would dominate one point.
-# For the same reason transfer_entries takes the number side for an angle
-# that holds one finite value (math.cos raises at infinity).
+# For the same reason transfer_entries takes the number side for a finite
+# Python float angle, and numpy for any other (math.cos raises at infinity).
 # e^{i(late - early)} takes the rounded difference, times e^{i lost} where
 # the difference rounded away digits: late - early = difference + lost
 # exactly (Knuth's two-sum), so a small phase keeps its digits however large
@@ -217,16 +217,6 @@ def _phase_parts(late: np.ndarray, early: np.ndarray) -> np.ndarray:
     return parts
 
 
-def _one_value(angle: np.ndarray, unit: tuple):
-    """angle as a float if it holds one finite value, else reshaped to the
-    grid's number of dimensions, len(unit)."""
-    if angle.size == 1:
-        value = angle.item()
-        if math.isfinite(value):
-            return value
-    return angle.reshape(unit[angle.ndim:] + angle.shape)
-
-
 def _cos(angle):
     return math.cos(angle) if type(angle) is float else np.cos(angle)
 
@@ -268,15 +258,14 @@ def transfer_entries(phi0, chi20, chi30, phi1, chi21, chi31) -> np.ndarray:
     release angles (phi1, chi21, chi31), each a number or an array
     broadcastable to the grid; grid is their broadcast shape, (1,) when all
     are numbers.  cos, sin and exp run once per value an angle holds, through
-    math and cmath for an angle that holds one finite value.
-    Unvalidated: a non-finite angle gives NaN entries."""
-    angles = [np.asarray(x, dtype=float) for x in (phi0, chi20, chi30, phi1, chi21, chi31)]
+    math and cmath for an angle that is a finite Python float and through
+    numpy for any other.  Unvalidated: a non-finite angle gives NaN entries."""
+    angles = [x if type(x) is float and math.isfinite(x) else np.asarray(x, dtype=float)
+              for x in (phi0, chi20, chi30, phi1, chi21, chi31)]
     # every swept angle takes the grid's number of dimensions, so that the
     # leading axis of stacked real and imaginary parts never meets a grid axis
-    unit = (1,) * max(1, *(angle.ndim for angle in angles))
-    angles = [_one_value(angle, unit) for angle in angles]
-    if all(type(angle) is float for angle in angles):
-        return np.array(_stage_entries(*angles, math.cos, math.sin, _phase_number, _number_times)).reshape(4, *unit)
+    unit = (1,) * max(1, *(getattr(angle, "ndim", 0) for angle in angles))
+    angles = [angle if type(angle) is float else angle.reshape(unit[angle.ndim:] + angle.shape) for angle in angles]
 
     def phase(late, early):
         if type(late) is float and type(early) is float:

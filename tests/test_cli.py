@@ -439,10 +439,11 @@ class TestExperimentConfig:
 
     def test_out_with_a_null_character_exits_2(self, tmp_path, capsys):
         config_path = tmp_path / "run.json"
-        config_path.write_text(json.dumps({"kind": "homodyne", "params": {"alpha2_mod": 1}, "out": "a\0b.csv"}))
-        assert main(["sweep", "--config", str(config_path)]) == 2
-        assert main(["eval", "--kind", "homodyne", "--set", "alpha2_mod=1", "--set", "out=a\0b.csv"]) == 2
-        assert capsys.readouterr() == ("", "error: ExperimentConfigError: out must be a path string\n" * 2)
+        for out in ("a\0b.csv", ""):
+            config_path.write_text(json.dumps({"kind": "homodyne", "params": {"alpha2_mod": 1}, "out": out}))
+            assert main(["sweep", "--config", str(config_path)]) == 2
+            assert main(["eval", "--kind", "homodyne", "--set", "alpha2_mod=1", "--set", f"out={out}"]) == 2
+            assert capsys.readouterr() == ("", "error: ExperimentConfigError: out must be a path string\n" * 2)
 
     def test_integral_numbers_are_integers(self):
         config = ExperimentConfig.from_mapping({
@@ -993,6 +994,24 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert captured.out == "" and len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: FileNotFoundError: ")
+
+    @pytest.mark.parametrize("command", [
+        ["figure", "--id", "5"],
+        ["sweep", "--config", "run.json"],
+        ["eval", "--kind", "homodyne", "--set", "alpha2_mod=1"],
+    ])
+    def test_empty_out_exits_2_before_evaluating(self, command, tmp_path, monkeypatch, capsys):
+        def evaluated(*args):
+            raise AssertionError("the command evaluated")
+
+        monkeypatch.chdir(tmp_path)
+        for runner in ("run_figure", "run_experiment", "run_single"):
+            monkeypatch.setattr(cli, runner, evaluated)
+        # the config's own out is not a fallback for an empty --out
+        Path("run.json").write_text(json.dumps({"kind": "homodyne", "params": {"alpha2_mod": 1}, "out": "c.csv"}))
+        assert main([*command, "--out", ""]) == 2
+        assert capsys.readouterr() == ("", "error: ExperimentConfigError: out must be a path string\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["run.json"]
 
     def test_eval_writes_the_out_key(self, tmp_path, capsys):
         command = ["eval", "--kind", "fock-distribution", "--set", "n=1", "--set", "m=1"]

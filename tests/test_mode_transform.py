@@ -341,14 +341,14 @@ class TestGridEntries:
     @pytest.mark.parametrize("position", range(6))
     @pytest.mark.parametrize("value", SPECIAL_ANGLES)
     def test_one_value_angles_are_the_swept_route_bit_for_bit(self, position, value, rng):
-        # the other angles are numbers: finite ones take math and cmath, others numpy
+        # the other angles are Python floats: finite ones take math and cmath, others numpy
         points = rng.uniform(-7, 7, (6, 5))
         points[rng.random((6, 5)) < 0.2] = rng.choice(SPECIAL_ANGLES)
         points[position, 2] = value
         point = [float(x) for x in points[:, 2]]
         # every angle swept, so every entry comes from numpy's cos, sin and exp
         expected = transfer_entries(*points)[:, 2:3].tobytes()
-        for form in (value, np.array(value), np.array([value])):
+        for form in (value, np.float64(value), np.array(value), np.array([value])):
             single = transfer_entries(*point[:position], form, *point[position + 1:])
             assert single.shape == (4, 1)
             assert single.tobytes() == expected
